@@ -66,6 +66,7 @@ def _load_scenario(path, overrides=None):
 
 
 def _write_outputs(out_dir, trace, metrics, scenario):
+    """Write the run's files into out_dir and return their names."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "trace.csv").write_text(output.write_trace(trace))
@@ -73,9 +74,15 @@ def _write_outputs(out_dir, trace, metrics, scenario):
     vel_cols = [f"agent{i}_vel" for i in range(trace.n_agents)] + ["rms"]
     (out / "velocities.svg").write_text(
         output.render_svg(trace, vel_cols, title="agent velocities and swarm RMS"))
-    dist_cols = [f"pair{k}_d" for k in range(len(scenario.edges))] or ["pair0_d"]
-    (out / "distances.svg").write_text(
-        output.render_svg(trace, dist_cols, title="pair separations"))
+    written = ["trace.csv", "report.txt", "velocities.svg"]
+    # declared edges, else the first monitored couple; a lone agent has no pair slot
+    n_dist = len(scenario.edges) or min(1, len(trace.slots))
+    if n_dist:
+        dist_cols = [f"pair{k}_d" for k in range(n_dist)]
+        (out / "distances.svg").write_text(
+            output.render_svg(trace, dist_cols, title="pair separations"))
+        written.append("distances.svg")
+    return written
 
 
 def cmd_run(args):
@@ -86,9 +93,9 @@ def cmd_run(args):
         overrides["sim.t_end"] = args.t_end
     scenario = _load_scenario(args.scenario, overrides)
     trace, metrics = engine.run(scenario)
-    _write_outputs(args.out, trace, metrics, scenario)
+    written = _write_outputs(args.out, trace, metrics, scenario)
     delta = "undefined" if metrics.delta_rms is None else _fmt(metrics.delta_rms)
-    print(f"wrote trace.csv, report.txt, velocities.svg, distances.svg to {args.out}")
+    print(f"wrote {', '.join(written)} to {args.out}")
     print(f"delta_rms: {delta}")
     print(f"coupling_events: {output.format_events(metrics.coupling_events)}")
     print(f"uncoupling_events: {output.format_events(metrics.uncoupling_events)}")

@@ -25,35 +25,30 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, ModelValidityWarning, NumericDomainError, SimulationAbort
-from .interaction import (PairState, corrected_position, force_repulsion,
-                          pair_force, pair_geometry, saturate, update_pair)
+from .interaction import (InteractionParams, PairState, corrected_position,
+                          force_repulsion, pair_force, pair_geometry, saturate,
+                          update_pair)
 from .plant import AgentState, rk4_step
 
 TILT_LIMIT = 0.5  # rad; beyond this the small-angle model is suspect
 
 
 @dataclass(frozen=True)
-class EdgeLink:
-    """A declared formation edge: agent indices (a < b), its interaction
-    parameters and its coupling state."""
-
-    a: int
-    b: int
-    params: object
-    state: PairState
-
-
-@dataclass(frozen=True)
 class World:
-    """Complete simulation state at one instant."""
+    """Complete simulation state at one instant.
+
+    edges holds the declared formation edges as (a, b) agent indices with
+    a < b, and pairs[k] the coupling state of edges[k].
+    """
 
     t: float
     agents: tuple
     radii: tuple
     edges: tuple
+    pairs: tuple
     gains: object
     plant: object
-    params: object  # scenario-wide interaction bundle: undeclared-pair repulsion + command clamp
+    params: object  # interaction parameters shared by every pair, declared or not
     dt: float
 
     def __post_init__(self):
@@ -61,17 +56,19 @@ class World:
             raise ConfigurationError(f"world dt must be > 0, got {self.dt}")
         if len(self.radii) != len(self.agents):
             raise ConfigurationError("one interaction radius per agent required")
+        if len(self.pairs) != len(self.edges):
+            raise ConfigurationError("one coupling state per declared edge required")
         n = len(self.agents)
-        for e in self.edges:
-            if not (0 <= e.a < n and 0 <= e.b < n and e.a < e.b):
+        for a, b in self.edges:
+            if not (0 <= a < n and 0 <= b < n and a < b):
                 raise ConfigurationError(
-                    f"edge ({e.a}, {e.b}) must reference distinct agents as a < b, n={n}")
+                    f"edge ({a}, {b}) must reference distinct agents as a < b, n={n}")
 
 
 def pair_slots(n_agents, edges):
     """Trace bookkeeping slots: declared edges first, then every unordered
     agent couple (monitored for range interactions)."""
-    slots = [("edge", e.a, e.b) for e in edges]
+    slots = [("edge", a, b) for a, b in edges]
     for i in range(n_agents):
         for j in range(i + 1, n_agents):
             slots.append(("range", i, j))
@@ -81,11 +78,12 @@ def pair_slots(n_agents, edges):
 def _controls(world, active_commands, t):
     """Stages 1-5 of a step: pair bookkeeping and per-agent commands.
 
-    Returns (commands, updated edges, slot separations, slot indicators,
-    coupling events, uncoupling events).
+    Returns (commands, updated pair states, slot separations, slot
+    indicators, coupling events, uncoupling events).
     """
     agents = world.agents
     gains = world.gains
+    prm = world.params
     n = len(agents)
     pstar = [corrected_position(s, gains) for s in agents]
     us = [0.0] * n
@@ -94,23 +92,20 @@ def _controls(world, active_commands, t):
     coupled = []
     uncoupled = []
 
-    new_edges = []
-    declared = set()
-    for k, e in enumerate(world.edges):
-        geom = pair_geometry(pstar[e.a], pstar[e.b], world.radii[e.a], world.radii[e.b],
-                             e.params.d_t)
-        state = update_pair(e.state, geom, e.params, k in active_commands, t)
-        if state.f_en != e.state.f_en:
+    new_pairs = []
+    for k, ((a, b), pair) in enumerate(zip(world.edges, world.pairs)):
+        geom = pair_geometry(pstar[a], pstar[b], world.radii[a], world.radii[b], prm.d_t)
+        state = update_pair(pair, geom, prm, k in active_commands)
+        if state.f_en != pair.f_en:
             (coupled if state.f_en else uncoupled).append((k, t))
-        f = pair_force(geom, state, e.params)
-        us[e.a] += f
-        us[e.b] -= f
-        new_edges.append(EdgeLink(e.a, e.b, e.params, state))
+        f = pair_force(geom, state, prm)
+        us[a] += f
+        us[b] -= f
+        new_pairs.append(state)
         slot_d.append(geom.d)
         slot_fen.append(float(state.f_en))
-        declared.add((e.a, e.b))
 
-    prm = world.params
+    declared = set(world.edges)
     for i in range(n):
         for j in range(i + 1, n):
             geom = pair_geometry(pstar[i], pstar[j], world.radii[i], world.radii[j], prm.d_t)
@@ -123,7 +118,7 @@ def _controls(world, active_commands, t):
 
     c_max = prm.c_max
     us = [saturate(u, c_max) for u in us]
-    return us, tuple(new_edges), slot_d, slot_fen, coupled, uncoupled
+    return us, tuple(new_pairs), slot_d, slot_fen, coupled, uncoupled
 
 
 def _integrate(world, us, t_next):
@@ -140,8 +135,8 @@ def _integrate(world, us, t_next):
 def step(world, active_commands=frozenset()):
     """Advance the world by one step.  `active_commands` holds the indices
     of edges whose uncouple command latches at this instant."""
-    us, edges, _, _, _, _ = _controls(world, active_commands, world.t)
-    return _integrate(replace(world, edges=edges), us, world.t + world.dt)
+    us, pairs, _, _, _, _ = _controls(world, active_commands, world.t)
+    return _integrate(replace(world, pairs=pairs), us, world.t + world.dt)
 
 
 @dataclass(frozen=True)
@@ -212,11 +207,13 @@ def rms_velocity(velocities):
 def build_world(scenario):
     """Materialise a scenario into the initial World."""
     gains = scenario.resolved_gains()
-    params = scenario.interaction_params(gains)
+    params = InteractionParams(scenario.c_max, scenario.d_t, scenario.eps,
+                               scenario.variant, gains.k1)
     agents = tuple(AgentState(a.pos, a.vel, a.tilt, a.rate) for a in scenario.agents)
     radii = tuple(a.radius for a in scenario.agents)
-    edges = tuple(EdgeLink(a, b, params, PairState()) for a, b in scenario.edges)
-    return World(0.0, agents, radii, edges, gains, scenario.plant, params, scenario.dt)
+    pairs = (PairState(),) * len(scenario.edges)
+    return World(0.0, agents, radii, scenario.edges, pairs, gains, scenario.plant,
+                 params, scenario.dt)
 
 
 def run(scenario):
@@ -247,8 +244,8 @@ def run(scenario):
                 fired[ci] = True
                 active.add(cmd.edge)
 
-        us, edges, slot_d, slot_fen, coupled, uncoupled = _controls(world, active, t_k)
-        world = replace(world, edges=edges)
+        us, pairs, slot_d, slot_fen, coupled, uncoupled = _controls(world, active, t_k)
+        world = replace(world, pairs=pairs)
         coupling_events += coupled
         uncoupling_events += uncoupled
 

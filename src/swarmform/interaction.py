@@ -104,12 +104,11 @@ class PairState:
     operator command until the separation next visits the switching
     neighbourhood.  last_abs_d remembers the previously observed |d| so the
     couple trigger can detect entry into the neighbourhood from above.
+    Transition times are recorded by engine.run, not here.
     """
 
     f_en: int = 0
     uncouple_pending: bool = False
-    coupled_at: float | None = None
-    uncoupled_at: float | None = None
     last_abs_d: float | None = None
 
 
@@ -217,7 +216,7 @@ def pair_force(geom, pair, params):
     return _FORCES[params.variant](geom, pair, params)
 
 
-def update_pair(pair, geom, params, uncouple_cmd_active, t):
+def update_pair(pair, geom, params, uncouple_cmd_active):
     """Advance the coupling state machine one observation.
 
     Couple: f_en rises when |d| enters the eps-neighbourhood of d_t from
@@ -231,8 +230,6 @@ def update_pair(pair, geom, params, uncouple_cmd_active, t):
 
     f_en = pair.f_en
     pending = pair.uncouple_pending
-    coupled_at = pair.coupled_at
-    uncoupled_at = pair.uncoupled_at
 
     if uncouple_cmd_active and f_en == 1:
         pending = True
@@ -243,9 +240,7 @@ def update_pair(pair, geom, params, uncouple_cmd_active, t):
     if f_en == 1 and pending and in_window:
         f_en = 0
         pending = False
-        uncoupled_at = t
     elif f_en == 0 and in_window and ad < geom.r_sum and entered_from_above:
         f_en = 1
-        coupled_at = t
 
-    return PairState(f_en, pending, coupled_at, uncoupled_at, ad)
+    return PairState(f_en, pending, ad)

@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, ScenarioError, SynthesisError
-from .interaction import InteractionParams, InteractionVariant
+from .interaction import InteractionVariant
 from .modal import Gains, PoleSpec, place_gains, poles_from_spec
 from .plant import PlantParams
 
@@ -85,10 +85,6 @@ class Scenario:
             k_pos, k_vel, k_tilt, k_rate = g.k_pos, g.k_vel, g.k_tilt, g.k_rate
         return Gains(k_pos, k_vel, k_tilt, k_rate,
                      k_pos if self.k1 is None else self.k1)
-
-    def interaction_params(self, gains=None):
-        gains = self.resolved_gains() if gains is None else gains
-        return InteractionParams(self.c_max, self.d_t, self.eps, self.variant, gains.k1)
 
 
 def read_entries(text):

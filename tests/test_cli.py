@@ -73,11 +73,27 @@ def test_run_writes_artifacts(tmp_path, short_file, capsys):
     out = tmp_path / "out"
     rc = main(["run", short_file, "--out", str(out)])
     assert rc == 0
+    assert f"wrote trace.csv, report.txt, velocities.svg, distances.svg to {out}" in \
+        capsys.readouterr().out
     for name in ("trace.csv", "report.txt", "velocities.svg", "distances.svg"):
         assert (out / name).is_file()
     report = (out / "report.txt").read_text()
     assert "variant: repulsion" in report
     assert "coupling_events: none" in report
+
+
+def test_run_single_agent_has_no_distance_plot(tmp_path, capsys):
+    # a lone agent has no pair slot, so there is no separation to plot
+    one = tmp_path / "one.cfg"
+    one.write_text("\n".join(line for line in SHORT.splitlines()
+                             if not line.startswith("agent[1]")))
+    out = tmp_path / "out"
+    rc = main(["run", str(one), "--out", str(out), "--t-end", "2.0"])
+    assert rc == 0
+    assert f"wrote trace.csv, report.txt, velocities.svg to {out}" in capsys.readouterr().out
+    for name in ("trace.csv", "report.txt", "velocities.svg"):
+        assert (out / name).is_file()
+    assert not (out / "distances.svg").exists()
 
 
 def test_run_overrides_duration(tmp_path, short_file):

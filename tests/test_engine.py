@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from swarmform import (AgentState, InteractionVariant, ModelValidityWarning,
-                       NumericDomainError, PlantParams, PoleSpec,
-                       SimulationAbort, build_world, delta_rms, engine,
-                       rk4_step, rms_velocity, run, step)
+from swarmform import (AgentState, ConfigurationError, InteractionVariant,
+                       ModelValidityWarning, NumericDomainError, PairState,
+                       PlantParams, PoleSpec, SimulationAbort, World,
+                       build_world, delta_rms, engine, rk4_step, rms_velocity,
+                       run, step)
 from swarmform.scenario import AgentInit, Scenario
 
 PLANT = PlantParams(6.0, 25.0, 9.8)
@@ -188,22 +189,41 @@ def test_step_latches_uncouple_command():
                         AgentInit(50.0, -2.25, 0.0, 0.0, 20.0)],
                        edges=[(0, 1)])
     w = build_world(sc)
+    assert w.pairs[0].f_en == 0
     for _ in range(12000):
         w = step(w)
-        if w.edges[0].state.f_en:
+        if w.pairs[0].f_en:
             break
-    assert w.edges[0].state.f_en == 1
+    assert w.pairs[0].f_en == 1
     # command while outside the switching window: latched, not yet released
     w2 = step(w, active_commands={0})
-    assert w2.edges[0].state.uncouple_pending or w2.edges[0].state.f_en == 0
+    assert w2.pairs[0].uncouple_pending or w2.pairs[0].f_en == 0
     # the latched command eventually releases the pair
     for _ in range(12000):
         w2 = step(w2)
-        if w2.edges[0].state.f_en == 0:
+        if w2.pairs[0].f_en == 0:
             break
-    assert w2.edges[0].state.f_en == 0
-    assert w2.edges[0].state.uncoupled_at is not None
-    assert w2.edges[0].state.coupled_at < w2.edges[0].state.uncoupled_at
+    assert w2.pairs[0].f_en == 0
+    assert not w2.pairs[0].uncouple_pending
+
+
+def test_step_loop_matches_run():
+    # the pair couples at t = 3.401 s and stays coupled to the end
+    sc = make_scenario([AgentInit(0.0, 3.0, 0.0, 0.0, 20.0),
+                        AgentInit(50.0, -3.0, 0.0, 0.0, 20.0)],
+                       edges=[(0, 1)], t_end=4.0)
+    trace, metrics = run(sc)
+    assert len(metrics.coupling_events) == 1
+    w = build_world(sc)
+    n_steps = int(round(sc.t_end / sc.dt))
+    for _ in range(n_steps):
+        w = step(w)
+    last = dict(zip(trace.columns, trace.data[-1]))
+    for i, s in enumerate(w.agents):
+        assert (s.pos, s.vel, s.tilt, s.tilt_rate) == (
+            last[f"agent{i}_pos"], last[f"agent{i}_vel"],
+            last[f"agent{i}_tilt"], last[f"agent{i}_rate"])
+    assert w.pairs[0].f_en == last["pair0_fen"] == 1.0
 
 
 def test_run_with_explicit_gains():
@@ -222,18 +242,20 @@ def test_run_with_explicit_gains():
 
 def test_world_validation():
     from dataclasses import replace
-    from swarmform import EdgeLink, PairState, World
     sc = make_scenario([AgentInit(0.0, 1.0, 0.0, 0.0, 20.0),
                         AgentInit(50.0, -1.0, 0.0, 0.0, 20.0)], edges=[(0, 1)])
     w = build_world(sc)
-    with pytest.raises(Exception):
-        World(0.0, w.agents, w.radii[:1], w.edges, w.gains, w.plant, w.params, w.dt)
-    with pytest.raises(Exception):
+    assert w.edges == ((0, 1),) and w.pairs == (PairState(),)
+    with pytest.raises(ConfigurationError):
+        World(0.0, w.agents, w.radii[:1], w.edges, w.pairs, w.gains, w.plant, w.params, w.dt)
+    with pytest.raises(ConfigurationError):
         replace(w, dt=0.0)
-    with pytest.raises(Exception):
-        replace(w, edges=(EdgeLink(1, 0, w.params, PairState()),))
-    with pytest.raises(Exception):
-        replace(w, edges=(EdgeLink(0, 5, w.params, PairState()),))
+    with pytest.raises(ConfigurationError):
+        replace(w, edges=((1, 0),))
+    with pytest.raises(ConfigurationError):
+        replace(w, edges=((0, 5),))
+    with pytest.raises(ConfigurationError, match="coupling state"):
+        replace(w, pairs=())
 
 
 def test_trace_column_lookup(chain_run):

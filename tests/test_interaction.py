@@ -204,14 +204,13 @@ def test_gate_exact_zero_outside():
 
 def test_couple_on_entry_into_neighbourhood():
     p = params()
-    st = update_pair(PairState(), geom(30.05), p, False, 1.5)
-    assert st.f_en == 1
-    assert st.coupled_at == 1.5
+    st = update_pair(PairState(), geom(30.05), p, False)
+    assert st == PairState(f_en=1, uncouple_pending=False, last_abs_d=30.05)
 
 
 def test_couple_requires_overlap():
     p = params(d_t=50.0, eps=1.0)  # window outside the interaction radius
-    st = update_pair(PairState(), pair_geometry(0, 50.2, 20, 20, 50.0), p, False, 0.0)
+    st = update_pair(PairState(), pair_geometry(0, 50.2, 20, 20, 50.0), p, False)
     assert st.f_en == 0
 
 
@@ -219,62 +218,61 @@ def test_couple_only_from_above():
     p = params()
     # |d| has been seen below the window: entering from below must not couple
     st = PairState(f_en=0, last_abs_d=29.5)
-    st = update_pair(st, geom(29.95), p, False, 2.0)
+    st = update_pair(st, geom(29.95), p, False)
     assert st.f_en == 0
     # approaching from above couples
     st = PairState(f_en=0, last_abs_d=30.4)
-    st = update_pair(st, geom(30.05), p, False, 2.0)
+    st = update_pair(st, geom(30.05), p, False)
     assert st.f_en == 1
 
 
 def test_uncouple_requires_latched_command_and_window():
     p = params()
-    st = PairState(f_en=1, coupled_at=5.0, last_abs_d=31.0)
+    st = PairState(f_en=1, last_abs_d=31.0)
     # no command: nothing happens
-    st2 = update_pair(st, geom(30.02), p, False, 8.0)
-    assert st2.f_en == 1 and st2.uncoupled_at is None
+    st2 = update_pair(st, geom(30.02), p, False)
+    assert st2.f_en == 1 and not st2.uncouple_pending
     # command while outside the window: latched, still coupled
-    st3 = update_pair(st, geom(33.0), p, True, 8.0)
+    st3 = update_pair(st, geom(33.0), p, True)
     assert st3.f_en == 1 and st3.uncouple_pending
     # next window visit fires
-    st4 = update_pair(st3, geom(30.02), p, False, 9.0)
+    st4 = update_pair(st3, geom(30.02), p, False)
     assert st4.f_en == 0
-    assert st4.uncoupled_at == 9.0
     assert not st4.uncouple_pending
 
 
 def test_uncouple_command_dropped_when_not_coupled():
     p = params()
-    st = update_pair(PairState(), geom(55.0), p, True, 1.0)
+    st = update_pair(PairState(), geom(55.0), p, True)
     assert st.f_en == 0
     assert not st.uncouple_pending
 
 
 def test_no_recapture_right_after_uncoupling():
     p = params()
-    st = PairState(f_en=1, uncouple_pending=True, coupled_at=5.0, last_abs_d=30.2)
-    st = update_pair(st, geom(30.05), p, False, 9.0)
+    st = PairState(f_en=1, uncouple_pending=True, last_abs_d=30.2)
+    st = update_pair(st, geom(30.05), p, False)
     assert st.f_en == 0
     # still inside the window next step: must stay uncoupled
-    st = update_pair(st, geom(30.02), p, False, 9.001)
+    st = update_pair(st, geom(30.02), p, False)
     assert st.f_en == 0
     # dipping below and re-entering from below must not recapture either
-    st = update_pair(st, geom(29.5), p, False, 9.1)
-    st = update_pair(st, geom(29.95), p, False, 9.2)
+    st = update_pair(st, geom(29.5), p, False)
+    st = update_pair(st, geom(29.95), p, False)
     assert st.f_en == 0
 
 
 def test_update_pair_idempotent_without_transition():
     p = params()
-    st = update_pair(PairState(), geom(36.0), p, False, 1.0)
-    st2 = update_pair(st, geom(36.0), p, False, 1.0)
+    st = update_pair(PairState(), geom(36.0), p, False)
+    st2 = update_pair(st, geom(36.0), p, False)
     assert st == st2
 
 
 def test_non_switching_variants_never_couple():
     for variant in (InteractionVariant.REPULSION, InteractionVariant.ATTRACTION):
         p = params(variant=variant)
-        st = update_pair(PairState(), geom(30.05), p, True, 1.0)
+        st = update_pair(PairState(), geom(30.05), p, True)
         assert st.f_en == 0 and not st.uncouple_pending
 
 
