@@ -10,8 +10,9 @@ One step advances the whole world deterministically:
   3. coupling state machine of every declared edge, with any uncouple
      commands that latched this step
   4. force of each unordered pair evaluated once and applied with opposite
-     signs to its two agents, so pair contributions cancel exactly
-  5. per-agent command sum clamped to the tilt saturation
+     signs to its two agents, so pair contributions cancel in the sum
+  5. per-agent command sum clamped to the tilt saturation (a clipped sum no
+     longer cancels, and the swarm's velocity sum drifts: velocity_sum_drift)
   6. one Runge-Kutta step per agent under the held command
 
 A run samples the world every `stride` steps into a Trace (the velocity
@@ -21,6 +22,8 @@ columns are the observed model output) and derives Metrics from it.
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 
@@ -35,13 +38,13 @@ TILT_LIMIT = 0.5  # rad; beyond this the small-angle model is suspect
 
 @dataclass(frozen=True)
 class World:
-    """Complete simulation state at one instant.
+    """Complete simulation state after k steps of dt.
 
     edges holds the declared formation edges as (a, b) agent indices with
     a < b, and pairs[k] the coupling state of edges[k].
     """
 
-    t: float
+    k: int
     agents: tuple
     radii: tuple
     edges: tuple
@@ -64,6 +67,10 @@ class World:
                 raise ConfigurationError(
                     f"edge ({a}, {b}) must reference distinct agents as a < b, n={n}")
 
+    @property
+    def t(self):
+        return self.k * self.dt
+
 
 def pair_slots(n_agents, edges):
     """Trace bookkeeping slots: declared edges first, then every unordered
@@ -75,35 +82,25 @@ def pair_slots(n_agents, edges):
     return tuple(slots)
 
 
-def _controls(world, active_commands, t):
+def _controls(world, active_commands):
     """Stages 1-5 of a step: pair bookkeeping and per-agent commands.
 
-    Returns (commands, updated pair states, slot separations, slot
-    indicators, coupling events, uncoupling events).
+    Returns (commands, updated pair states, slot separations).
     """
-    agents = world.agents
-    gains = world.gains
     prm = world.params
-    n = len(agents)
-    pstar = [corrected_position(s, gains) for s in agents]
+    pstar = [corrected_position(s, world.gains) for s in world.agents]
+    n = len(pstar)
     us = [0.0] * n
     slot_d = []
-    slot_fen = []
-    coupled = []
-    uncoupled = []
-
     new_pairs = []
     for k, ((a, b), pair) in enumerate(zip(world.edges, world.pairs)):
         geom = pair_geometry(pstar[a], pstar[b], world.radii[a], world.radii[b], prm.d_t)
         state = update_pair(pair, geom, prm, k in active_commands)
-        if state.f_en != pair.f_en:
-            (coupled if state.f_en else uncoupled).append((k, t))
         f = pair_force(geom, state, prm)
         us[a] += f
         us[b] -= f
         new_pairs.append(state)
         slot_d.append(geom.d)
-        slot_fen.append(float(state.f_en))
 
     declared = set(world.edges)
     for i in range(n):
@@ -114,46 +111,64 @@ def _controls(world, active_commands, t):
                 us[i] += f
                 us[j] -= f
             slot_d.append(geom.d)
-            slot_fen.append(0.0)
 
-    c_max = prm.c_max
-    us = [saturate(u, c_max) for u in us]
-    return us, tuple(new_pairs), slot_d, slot_fen, coupled, uncoupled
+    return [saturate(u, prm.c_max) for u in us], tuple(new_pairs), slot_d
 
 
-def _integrate(world, us, t_next):
+def _integrate(world, us):
     new_agents = []
     for idx, (s, u) in enumerate(zip(world.agents, us)):
         s2 = rk4_step(s, u, world.dt, world.plant)
         if not (math.isfinite(s2.pos) and math.isfinite(s2.vel)
                 and math.isfinite(s2.tilt) and math.isfinite(s2.tilt_rate)):
-            raise SimulationAbort(t_next, idx, s2)
+            raise SimulationAbort((world.k + 1) * world.dt, idx, s2)
         new_agents.append(s2)
-    return replace(world, t=t_next, agents=tuple(new_agents))
+    return replace(world, k=world.k + 1, agents=tuple(new_agents))
 
 
 def step(world, active_commands=frozenset()):
     """Advance the world by one step.  `active_commands` holds the indices
     of edges whose uncouple command latches at this instant."""
-    us, pairs, _, _, _, _ = _controls(world, active_commands, world.t)
-    return _integrate(replace(world, pairs=pairs), us, world.t + world.dt)
+    us, pairs, _ = _controls(world, active_commands)
+    return _integrate(replace(world, pairs=pairs), us)
 
 
 @dataclass(frozen=True)
 class Trace:
     """Sampled time series of a run.
 
-    Columns: t, then pos/vel/tilt/rate/u per agent, then separation and
-    coupling indicator per pair slot, then the swarm RMS velocity.
+    Columns: t, then AGENT_FIELDS per agent, then SLOT_FIELDS per pair
+    slot, then the swarm RMS velocity.
     """
 
-    columns: tuple
+    AGENT_FIELDS = ("pos", "vel", "tilt", "rate", "u")
+    SLOT_FIELDS = ("d", "fen")
+
     data: np.ndarray
     dt: float
     stride: int
     n_agents: int
     slots: tuple
     slot_rsums: tuple
+
+    @cached_property
+    def columns(self):
+        return ("t",
+                *(f"agent{i}_{f}" for i in range(self.n_agents) for f in self.AGENT_FIELDS),
+                *(f"pair{k}_{f}" for k in range(len(self.slots)) for f in self.SLOT_FIELDS),
+                "rms")
+
+    def block(self, field):
+        """(rows, n) view of one field: n_agents columns for an agent field,
+        one column per pair slot for a slot field."""
+        na, ns = len(self.AGENT_FIELDS), len(self.SLOT_FIELDS)
+        base = 1 + na * self.n_agents  # first slot column
+        if field in self.AGENT_FIELDS:
+            return self.data[:, 1 + self.AGENT_FIELDS.index(field):base:na]
+        if field in self.SLOT_FIELDS:
+            return self.data[:, base + self.SLOT_FIELDS.index(field):base + ns * len(self.slots):ns]
+        raise KeyError(f"unknown trace field {field!r}; available: "
+                       + ", ".join(self.AGENT_FIELDS + self.SLOT_FIELDS))
 
     def column(self, name):
         try:
@@ -185,17 +200,6 @@ class Metrics:
     velocity_sum_drift: float
 
 
-def trace_columns(n_agents, n_slots):
-    cols = ["t"]
-    for i in range(n_agents):
-        cols += [f"agent{i}_pos", f"agent{i}_vel", f"agent{i}_tilt",
-                 f"agent{i}_rate", f"agent{i}_u"]
-    for k in range(n_slots):
-        cols += [f"pair{k}_d", f"pair{k}_fen"]
-    cols.append("rms")
-    return tuple(cols)
-
-
 def rms_velocity(velocities):
     """Root of the mean squared agent velocity."""
     vals = list(velocities)
@@ -212,7 +216,7 @@ def build_world(scenario):
     agents = tuple(AgentState(a.pos, a.vel, a.tilt, a.rate) for a in scenario.agents)
     radii = tuple(a.radius for a in scenario.agents)
     pairs = (PairState(),) * len(scenario.edges)
-    return World(0.0, agents, radii, scenario.edges, pairs, gains, scenario.plant,
+    return World(0, agents, radii, scenario.edges, pairs, gains, scenario.plant,
                  params, scenario.dt)
 
 
@@ -227,7 +231,6 @@ def run(scenario):
 
     slots = pair_slots(len(world.agents), world.edges)
     slot_rsums = tuple(world.radii[i] + world.radii[j] for _, i, j in slots)
-    columns = trace_columns(len(world.agents), len(slots))
 
     commands = scenario.commands
     fired = [False] * len(commands)
@@ -237,23 +240,25 @@ def run(scenario):
     tilt_warned = False
 
     for k in range(n_steps + 1):
-        t_k = k * dt
+        t_k = world.t
         active = set()
         for ci, cmd in enumerate(commands):
             if not fired[ci] and t_k >= cmd.t - 1e-9:
                 fired[ci] = True
                 active.add(cmd.edge)
 
-        us, pairs, slot_d, slot_fen, coupled, uncoupled = _controls(world, active, t_k)
+        us, pairs, slot_d = _controls(world, active)
+        for e, (old, new) in enumerate(zip(world.pairs, pairs)):
+            if new.f_en != old.f_en:
+                (coupling_events if new.f_en else uncoupling_events).append((e, t_k))
         world = replace(world, pairs=pairs)
-        coupling_events += coupled
-        uncoupling_events += uncoupled
 
         if k % stride == 0:
             row = [t_k]
             for s, u in zip(world.agents, us):
                 row += [s.pos, s.vel, s.tilt, s.tilt_rate, u]
-            for d, fen in zip(slot_d, slot_fen):
+            # monitored couples carry no coupling state: their indicator is 0
+            for d, fen in zip_longest(slot_d, (p.f_en for p in world.pairs), fillvalue=0):
                 row += [d, fen]
             row.append(rms_velocity(s.vel for s in world.agents))
             rows.append(row)
@@ -265,13 +270,12 @@ def run(scenario):
                 "small-angle model validity is doubtful", ModelValidityWarning)
 
         if k < n_steps:
-            world = _integrate(world, us, (k + 1) * dt)
+            world = _integrate(world, us)
 
-    trace = Trace(columns, np.asarray(rows, dtype=float), dt, stride,
+    trace = Trace(np.asarray(rows, dtype=float), dt, stride,
                   len(world.agents), slots, slot_rsums)
     dres = delta_rms(trace)
-    vel_idx = [columns.index(f"agent{i}_vel") for i in range(len(world.agents))]
-    vsums = trace.data[:, vel_idx].sum(axis=1)
+    vsums = sum(trace.block("vel").T)  # left to right; .sum(axis=1) rounds differently
     drift = float(np.max(np.abs(vsums - vsums[0])))
     metrics = Metrics(dres.rms_before, dres.rms_after, dres.value, dres.reason,
                       tuple(coupling_events), tuple(uncoupling_events), drift)
@@ -298,9 +302,7 @@ def delta_rms(trace):
     rms = trace.column("rms")
     n_rows = trace.n_rows
 
-    overlap = np.zeros(n_rows, dtype=bool)
-    for k, rsum in enumerate(trace.slot_rsums):
-        overlap |= np.abs(trace.column(f"pair{k}_d")) < rsum
+    overlap = (np.abs(trace.block("d")) < np.asarray(trace.slot_rsums)).any(axis=1)
 
     if not overlap.any():
         before = float(rms[:n_pre].mean())
@@ -313,12 +315,9 @@ def delta_rms(trace):
                               f"only {first} pre-contact samples, need {n_pre}")
     before = float(rms[first - n_pre:first].mean())
 
-    settled = np.ones(n_rows, dtype=bool)
-    for i in range(trace.n_agents):
-        settled &= trace.column(f"agent{i}_u") == 0.0
-        settled &= np.abs(trace.column(f"agent{i}_tilt")) < SETTLED_TILT
-    for k in range(len(trace.slots)):
-        settled &= trace.column(f"pair{k}_fen") == 0.0
+    settled = ((trace.block("u") == 0.0).all(axis=1)
+               & (np.abs(trace.block("tilt")) < SETTLED_TILT).all(axis=1)
+               & (trace.block("fen") == 0.0).all(axis=1))
 
     start = None
     run_len = 0

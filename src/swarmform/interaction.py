@@ -3,8 +3,8 @@
 Agents interact through their *corrected* coordinates: position augmented
 with the velocity/tilt/rate terms of the modal feedback, so the pairwise
 geometry anticipates motion.  Four force variants are provided, all odd in
-the corrected separation d (this oddness is what makes the engine's
-action-reaction bookkeeping exact):
+the corrected separation d (this oddness makes the engine's action-reaction
+terms cancel in the summed commands, until the tilt clamp clips one):
 
   repulsion         saturated linear push-out of overlapping spheres
   attraction        radius-gated spring centred on the target distance;

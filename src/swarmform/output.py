@@ -159,8 +159,7 @@ def render_svg(trace, columns, title=""):
     out.append(f'<text x="{_ML + pw / 2:.2f}" y="{_H - 10}" text-anchor="middle">t (s)</text>')
 
     # event markers from coupling-indicator transitions
-    for k in range(len(trace.slots)):
-        fen = trace.column(f"pair{k}_fen")
+    for fen in trace.block("fen").T:
         flips = (fen[1:] != fen[:-1]).nonzero()[0]
         for idx in flips:
             tv = float(t[idx + 1])

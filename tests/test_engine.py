@@ -1,5 +1,7 @@
 """Engine: step ordering, conservation, events, metrics and determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,8 @@ def test_step_loop_matches_run():
             last[f"agent{i}_pos"], last[f"agent{i}_vel"],
             last[f"agent{i}_tilt"], last[f"agent{i}_rate"])
     assert w.pairs[0].f_en == last["pair0_fen"] == 1.0
+    assert w.k == n_steps
+    assert w.t == last["t"] == 4.0  # step() keeps run()'s clock, with no drift
 
 
 def test_run_with_explicit_gains():
@@ -241,13 +245,12 @@ def test_run_with_explicit_gains():
 
 
 def test_world_validation():
-    from dataclasses import replace
     sc = make_scenario([AgentInit(0.0, 1.0, 0.0, 0.0, 20.0),
                         AgentInit(50.0, -1.0, 0.0, 0.0, 20.0)], edges=[(0, 1)])
     w = build_world(sc)
     assert w.edges == ((0, 1),) and w.pairs == (PairState(),)
     with pytest.raises(ConfigurationError):
-        World(0.0, w.agents, w.radii[:1], w.edges, w.pairs, w.gains, w.plant, w.params, w.dt)
+        World(0, w.agents, w.radii[:1], w.edges, w.pairs, w.gains, w.plant, w.params, w.dt)
     with pytest.raises(ConfigurationError):
         replace(w, dt=0.0)
     with pytest.raises(ConfigurationError):
@@ -261,9 +264,21 @@ def test_world_validation():
 def test_trace_column_lookup(chain_run):
     _, trace, _ = chain_run
     # 3 agents, 2 edges + 3 monitored couples: 1 + 3*5 + 5*2 + 1 columns
-    assert len(trace.columns) == 27
+    assert len(trace.columns) == trace.data.shape[1] == 27
     with pytest.raises(KeyError, match="agent0_pos"):
         trace.column("nonexistent")
+    for field in engine.Trace.AGENT_FIELDS:
+        block = trace.block(field)
+        assert block.shape == (trace.n_rows, 3)
+        for i in range(3):
+            assert np.array_equal(block[:, i], trace.column(f"agent{i}_{field}"))
+    for field in engine.Trace.SLOT_FIELDS:
+        block = trace.block(field)
+        assert block.shape == (trace.n_rows, 5)
+        for k in range(5):
+            assert np.array_equal(block[:, k], trace.column(f"pair{k}_{field}"))
+    with pytest.raises(KeyError, match="unknown trace field"):
+        trace.block("rms")
 
 
 def test_delta_rms_requires_pre_contact_history():
@@ -280,8 +295,6 @@ def test_delta_rms_reports_missing_settled_window(default_run):
     # truncate a coupled run before it settles: reason must say so
     sc, trace, _ = default_run("switching_step")
     cut = trace.data[trace.column("t") <= 20.0]
-    short = engine.Trace(trace.columns, cut, trace.dt, trace.stride,
-                         trace.n_agents, trace.slots, trace.slot_rsums)
-    res = delta_rms(short)
+    res = delta_rms(replace(trace, data=cut))
     assert res.value is None
     assert "settled" in res.reason

@@ -1,9 +1,13 @@
 """Scenario parsing/serialisation and the CSV/report/SVG writers."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from swarmform import (ConfigurationError, ScenarioError,
+from swarmform import (AgentInit, Command, ConfigurationError, InteractionVariant,
+                       PlantParams, PoleSpec, Scenario, ScenarioError,
                        parse_scenario, parse_scenario_with, render_svg, run,
                        serialize_scenario, write_report, write_trace)
 from swarmform.scenario import is_scalar_key
@@ -117,14 +121,47 @@ def test_explicit_gains_scenario():
     assert g.k1 == 0.03
 
 
-def test_round_trip_serialisation():
+@st.composite
+def scenarios(draw):
+    """Valid scenarios: 1-4 agents, poles or explicit gains, an optional k1,
+    edges with d_t < R_a + R_b and commands inside [0, t_end]."""
+    plant = PlantParams(draw(st.floats(0.1, 100.0)), draw(st.floats(0.1, 100.0)),
+                        draw(st.floats(0.1, 20.0)))
+    if draw(st.booleans()):
+        poles, gains = PoleSpec(draw(st.floats(0.0, 20.0)), draw(st.floats(-2.0, 2.0)),
+                                draw(st.floats(0.05, 5.0))), None
+    else:
+        k_pos = draw(st.floats(-10.0, 10.0).filter(lambda v: v != 0.0))
+        poles, gains = None, (k_pos, *(draw(st.floats(-100.0, 100.0)) for _ in range(3)))
+    agents = tuple(AgentInit(draw(st.floats(-1e3, 1e3)), draw(st.floats(-10.0, 10.0)),
+                             draw(st.floats(-0.5, 0.5)), draw(st.floats(-1.0, 1.0)),
+                             draw(st.floats(1.0, 50.0)))
+                   for _ in range(draw(st.integers(1, 4))))
+    d_t = draw(st.floats(1.0, 60.0))
+    reachable = [(a, b) for a, b in itertools.combinations(range(len(agents)), 2)
+                 if d_t < agents[a].radius + agents[b].radius]
+    edges = tuple(draw(st.lists(st.sampled_from(reachable), unique=True))) if reachable else ()
+    dt = draw(st.floats(1e-4, 1e-2))
+    t_end = draw(st.floats(dt, 100.0))
+    commands = tuple(Command(draw(st.floats(0.0, t_end)), "uncouple",
+                             draw(st.integers(0, len(edges) - 1)))
+                     for _ in range(draw(st.integers(0, 3 if edges else 0))))
+    return Scenario(plant, poles, gains, agents, draw(st.sampled_from(InteractionVariant)),
+                    draw(st.floats(1e-3, 1.0)), d_t, draw(st.floats(1e-3, 5.0)),
+                    draw(st.none() | st.floats(-1.0, 1.0)), edges, commands,
+                    dt, t_end, draw(st.integers(1, 100)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(scenarios())
+def test_round_trip_serialisation(sc):
+    assert parse_scenario(serialize_scenario(sc)) == sc
+
+
+def test_shipped_scenarios_round_trip():
     for name in ("two_agent_switching_step", "three_agent_chain"):
         sc = parse_scenario(scenario_text(name))
         assert parse_scenario(serialize_scenario(sc)) == sc
-    # ugly floats survive the round trip exactly
-    sc = parse_scenario_with(MINIMAL, {"agent[0].pos": 1.0 / 3.0,
-                                       "interaction.k1": 0.1 + 0.2})
-    assert parse_scenario(serialize_scenario(sc)) == sc
 
 
 def test_is_scalar_key():
