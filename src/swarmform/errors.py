@@ -15,8 +15,9 @@ class ConfigurationError(SwarmformError, ValueError):
 
 
 class SynthesisError(SwarmformError, ValueError):
-    """Gain synthesis is impossible for the given plant (g = 0 or
-    k_p * k_d = 0 leaves the position/velocity channels unreachable)."""
+    """Gain synthesis is impossible for the given plant: g * k_p * k_d is 0
+    in floating point, which leaves the position/velocity channels
+    unreachable, or the gains come out non-finite."""
 
 
 class ScenarioError(SwarmformError, ValueError):

@@ -17,6 +17,7 @@ polynomial equality: it is exact for this structure and needs no root
 finder.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -111,6 +112,22 @@ def desired_polynomial(poles):
     return (1.0,) + out[1:]
 
 
+def _reachable(plant):
+    """k_p*k_d, once g*k_p*k_d, the divisor of k_pos and k_vel, is known to
+    be nonzero in floating point (it underflows for tiny plant values)."""
+    kpkd = plant.k_p * plant.k_d
+    if plant.g * kpkd == 0:
+        raise SynthesisError(f"g*k_p*k_d = {plant.g}*{kpkd} is 0 in floating point: "
+                             "position/velocity channels unreachable")
+    return kpkd
+
+
+def _check_finite(gains):
+    if not all(cmath.isfinite(k) for k in gains):
+        raise SynthesisError(f"gains {gains} are not finite "
+                             "(the poles are too large, or g*k_p*k_d too small)")
+
+
 def place_gains(plant, poles, k1=None):
     """Feedback gains that place the closed loop at `poles`.
 
@@ -119,14 +136,13 @@ def place_gains(plant, poles, k1=None):
     interaction stiffness, defaults to k_pos so that the corrected
     coordinate reduces to plain position at rest; pass a value to override.
     """
-    kpkd = plant.k_p * plant.k_d
-    if plant.g == 0 or kpkd == 0:
-        raise SynthesisError("g = 0 or k_p*k_d = 0: position/velocity channels unreachable")
+    kpkd = _reachable(plant)
     _, a3, a2, a1, a0 = desired_polynomial(poles)
     k_rate = (a3 - plant.k_d) / kpkd
     k_tilt = a2 / kpkd - 1.0
     k_vel = a1 / (plant.g * kpkd)
     k_pos = a0 / (plant.g * kpkd)
+    _check_finite((k_pos, k_vel, k_tilt, k_rate))
     return Gains(k_pos, k_vel, k_tilt, k_rate, k_pos if k1 is None else k1)
 
 
@@ -154,9 +170,7 @@ def direct_gain_formula(plant, poles):
     control; this function exists to document the discrepancy and to
     cross-check the synthesis.
     """
-    kpkd = plant.k_p * plant.k_d
-    if plant.g == 0 or kpkd == 0:
-        raise SynthesisError("g = 0 or k_p*k_d = 0: position/velocity channels unreachable")
+    kpkd = _reachable(plant)
     p1, p2, p3, p4 = (complex(p) for p in poles)
     beta = 1.0 / kpkd
     e3 = p1 * p2 * p3 + p1 * p2 * p4 + p1 * p3 * p4 + p2 * p3 * p4
@@ -169,6 +183,7 @@ def direct_gain_formula(plant, poles):
         beta * e2,
         -beta * (plant.k_d + e1),
     )
+    _check_finite(entries)
     scale = max(1.0, max(abs(e) for e in entries))
     if max(abs(e.imag) for e in entries) > 1e-9 * scale:
         raise NumericDomainError(f"gain formula produced complex entries from poles {tuple(poles)}")

@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, artifacts and output contracts."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import swarmform
 from swarmform.cli import main
 
 from conftest import SCENARIOS
@@ -65,6 +68,13 @@ def test_gains_rejects_zero_gravity(capsys):
                "--rl", "12", "--iml", "0.1", "--imr", "0.55"])
     assert rc == 2
     assert "g" in capsys.readouterr().err
+
+
+def test_gains_rejects_underflowing_plant(capsys):
+    rc = main(["gains", "--kp", "1", "--kd", "0.5", "--g", "5e-324",
+               "--rl", "12", "--iml", "0.1", "--imr", "0.55"])
+    assert rc == 2
+    assert "g*k_p*k_d" in capsys.readouterr().err
 
 
 # --- run ----------------------------------------------------------------------
@@ -258,9 +268,12 @@ def test_run_default_reports(tmp_path):
 # --- module entry point -----------------------------------------------------------
 
 def test_module_invocation():
+    # the child imports the package this process imported, installed or not
+    path = os.pathsep.join([str(Path(swarmform.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-m", "swarmform.cli", "gains", "--kp", "6", "--kd", "25",
          "--g", "9.8", "--rl", "12", "--iml", "0.1", "--imr", "0.55"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "k_pos: 0.0296347" in proc.stdout

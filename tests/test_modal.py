@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from swarmform import (Gains, NumericDomainError, PlantParams, PoleSpec,
-                       closed_loop_polynomial,
+                       SynthesisError, closed_loop_polynomial,
                        desired_polynomial, direct_gain_formula, place_gains,
                        poles_from_spec)
 
@@ -77,6 +77,16 @@ def test_place_gains_open_loop_roots_give_zero_gains():
     assert g.k_vel == pytest.approx(0.0, abs=1e-15)
     assert g.k_tilt == pytest.approx(0.0, abs=1e-14)
     assert g.k_rate == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("g", [5e-324, 1e-320])
+def test_synthesis_rejects_a_vanishing_divisor_and_non_finite_gains(g):
+    # g*k_p*k_d is 0 after rounding at 5e-324 and gives k_pos = inf at 1e-320
+    plant = PlantParams(1.0, 0.5, g)
+    with pytest.raises(SynthesisError):
+        place_gains(plant, poles_from_spec(SPEC))
+    with pytest.raises(SynthesisError):
+        direct_gain_formula(plant, poles_from_spec(SPEC))
 
 
 def test_place_gains_closed_loop_eigenvalues():

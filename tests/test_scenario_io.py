@@ -1,18 +1,19 @@
 """Scenario parsing/serialisation and the CSV/report/SVG writers."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from swarmform import (AgentInit, Command, ConfigurationError, InteractionVariant,
-                       PlantParams, PoleSpec, Scenario, ScenarioError,
+                       PlantParams, PoleSpec, Scenario, ScenarioError, build_world,
                        parse_scenario, parse_scenario_with, render_svg, run,
-                       serialize_scenario, write_report, write_trace)
+                       serialize_scenario, step, write_report, write_trace)
 from swarmform.scenario import is_scalar_key
 
-from conftest import scenario_text
+from conftest import SCENARIOS, scenario_text
 
 MINIMAL = """
 plant.kp = 6.0
@@ -121,10 +122,30 @@ def test_explicit_gains_scenario():
     assert g.k1 == 0.03
 
 
+def test_zero_position_gain_is_rejected_for_both_gain_sources():
+    with pytest.raises(ScenarioError, match=r"^poles\.rl: k_pos must be nonzero"):
+        parse_scenario(MINIMAL.replace("poles.rl = 12.0", "poles.rl = 0")
+                       .replace("poles.iml = 0.1", "poles.iml = 0"))
+    text = re.sub(r"poles\..*\n", "", MINIMAL) + (
+        "gains.kpos = 0\ngains.kvel = 0.005\ngains.ktilt = -0.038\ngains.krate = -0.0067\n")
+    with pytest.raises(ScenarioError, match=r"^gains\.kpos: k_pos must be nonzero"):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize("kp, kd, g", [(1.0, 0.5, 5e-324), (6.0, 25.0, 1e-320)])
+def test_synthesis_failure_of_a_tiny_plant_names_a_key(kp, kd, g):
+    # g*k_p*k_d underflows to 0 (first case) or leaves k_pos = inf (second)
+    text = MINIMAL.replace("plant.kp = 6.0", f"plant.kp = {kp}").replace(
+        "plant.kd = 25.0", f"plant.kd = {kd}").replace("plant.g = 9.8", f"plant.g = {g}")
+    with pytest.raises(ScenarioError, match=r"^poles\.rl: gain synthesis failed"):
+        parse_scenario(text)
+
+
 @st.composite
 def scenarios(draw):
-    """Valid scenarios: 1-4 agents, poles or explicit gains, an optional k1,
-    edges with d_t < R_a + R_b and commands inside [0, t_end]."""
+    """Valid scenarios: 1-4 agents, poles or explicit gains with k_pos != 0,
+    an optional k1, edges with d_t < R_a + R_b and commands inside
+    [0, t_end]."""
     plant = PlantParams(draw(st.floats(0.1, 100.0)), draw(st.floats(0.1, 100.0)),
                         draw(st.floats(0.1, 20.0)))
     if draw(st.booleans()):
@@ -146,10 +167,12 @@ def scenarios(draw):
     commands = tuple(Command(draw(st.floats(0.0, t_end)), "uncouple",
                              draw(st.integers(0, len(edges) - 1)))
                      for _ in range(draw(st.integers(0, 3 if edges else 0))))
-    return Scenario(plant, poles, gains, agents, draw(st.sampled_from(InteractionVariant)),
-                    draw(st.floats(1e-3, 1.0)), d_t, draw(st.floats(1e-3, 5.0)),
-                    draw(st.none() | st.floats(-1.0, 1.0)), edges, commands,
-                    dt, t_end, draw(st.integers(1, 100)))
+    sc = Scenario(plant, poles, gains, agents, draw(st.sampled_from(InteractionVariant)),
+                  draw(st.floats(1e-3, 1.0)), d_t, draw(st.floats(1e-3, 5.0)),
+                  draw(st.none() | st.floats(-1.0, 1.0)), edges, commands,
+                  dt, t_end, draw(st.integers(1, 100)))
+    assume(sc.resolved_gains().k_pos != 0)  # rl = iml = 0 places no position gain
+    return sc
 
 
 @settings(derandomize=True, deadline=None)
@@ -172,6 +195,40 @@ def test_is_scalar_key():
     assert not is_scalar_key("sim.stride")
     assert not is_scalar_key("edge[0].a")
     assert not is_scalar_key("nonsense")
+    assert is_scalar_key("gains.kpos")
+    assert not is_scalar_key("command[0].kind")
+    assert not is_scalar_key("agent[].vel")
+    assert not is_scalar_key("agent[x].vel")
+
+
+SHIPPED = sorted(p.stem for p in SCENARIOS.glob("*.cfg"))
+HOSTILE = ("0", "-1", "1e-320", "5e-324", "nan", "inf", "word", "9")
+
+
+@st.composite
+def one_line_mutations(draw):
+    """A shipped scenario with one setting changed: its value to a hostile
+    one, or its agent/edge/command index to one past the end."""
+    lines = scenario_text(draw(st.sampled_from(SHIPPED))).splitlines()
+    i = draw(st.sampled_from([i for i, line in enumerate(lines) if "=" in line]))
+    key, value = (part.strip() for part in lines[i].split("=", 1))
+    if "[" in key and draw(st.booleans()):
+        key = re.sub(r"\[\d+\]", "[9]", key)
+    else:
+        value = draw(st.sampled_from(HOSTILE))
+    lines[i] = f"{key} = {value}"
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(one_line_mutations())
+def test_hostile_one_line_mutations_are_named_or_runnable(text):
+    try:
+        sc = parse_scenario(text)
+    except ScenarioError as err:
+        assert re.match(r"(line \d+|[a-z]+(\[\d+\])?(\.[a-z_]+)?): ", str(err)), str(err)
+        return
+    step(build_world(sc))
 
 
 # --- writers ----------------------------------------------------------------
