@@ -3,10 +3,15 @@
 One step advances the whole world deterministically:
 
   1. corrected position of every agent
-  2. pair geometry of every declared edge, plus every undeclared agent
-     couple (the latter interact by plain repulsion when their spheres
-     overlap -- collision avoidance between agents that are not part of
-     the formation graph)
+  2. pair geometry of every declared edge, plus every agent couple i < j
+     (the range pass; the undeclared couples interact by plain repulsion
+     when their spheres overlap -- collision avoidance between agents that
+     are not part of the formation graph).  From ARRAY_COUPLES couples on
+     (n >= 5) the range pass is one pair_geometry call on arrays of all
+     couples, followed by a scalar repulsion for each undeclared couple in
+     contact, in (i, j) order; below that crossover it is a Python loop.
+     Both add each agent's terms in the same order (edges by index, then
+     contacts by (i, j)), so they give bit-identical commands
   3. coupling state machine of every declared edge, with any uncouple
      commands that latched this step
   4. force of each unordered pair evaluated once and applied with opposite
@@ -22,7 +27,7 @@ columns are the observed model output) and derives Metrics from it.
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 import numpy as np
@@ -82,6 +87,32 @@ def pair_slots(n_agents, edges):
     return tuple(slots)
 
 
+# Couples, n(n-1)/2, from which _controls evaluates the range pass as one
+# array call per step instead of a Python loop.  engine.run per step on a
+# line of n agents 100 m apart (switching_smooth, edges (0, 1), (2, 3), ...,
+# 4 s in steps of 2 ms), best of 7, Python 3.11 and numpy 2.4, 2-core x86-64
+# (BENCH_6.json):
+#   n        2     3     4     5     6     7     8
+#   couples  1     3     6     10    15    21    28
+#   loop us  9.6   12.2  16.9  20.3  26.1  30.9  37.5
+#   array us 14.5  15.7  18.6  19.8  22.8  24.1  26.9
+ARRAY_COUPLES = 10
+
+
+@lru_cache(maxsize=64)
+def _couples(edges, radii):
+    """Index arrays of the range pass over every couple i < j, in the
+    order of pair_slots: (ci, cj, radii[ci], radii[cj], undeclared mask)."""
+    ci, cj = np.triu_indices(len(radii), 1)
+    r = np.asarray(radii, dtype=float)
+    declared = set(edges)
+    undeclared = np.array([(i, j) not in declared for i, j in zip(ci.tolist(), cj.tolist())])
+    arrays = (ci, cj, r[ci], r[cj], undeclared)
+    for a in arrays:
+        a.flags.writeable = False  # shared by every step of every world with this key
+    return arrays
+
+
 def _controls(world, active_commands):
     """Stages 1-5 of a step: pair bookkeeping and per-agent commands.
 
@@ -102,15 +133,28 @@ def _controls(world, active_commands):
         new_pairs.append(state)
         slot_d.append(geom.d)
 
-    declared = set(world.edges)
-    for i in range(n):
-        for j in range(i + 1, n):
-            geom = pair_geometry(pstar[i], pstar[j], world.radii[i], world.radii[j], prm.d_t)
-            if (i, j) not in declared and abs(geom.d) < geom.r_sum:
-                f = force_repulsion(geom, prm)
-                us[i] += f
-                us[j] -= f
-            slot_d.append(geom.d)
+    if n * (n - 1) // 2 < ARRAY_COUPLES:
+        declared = set(world.edges)
+        for i in range(n):
+            for j in range(i + 1, n):
+                geom = pair_geometry(pstar[i], pstar[j], world.radii[i], world.radii[j], prm.d_t)
+                if (i, j) not in declared and abs(geom.d) < geom.r_sum:
+                    f = force_repulsion(geom, prm)
+                    us[i] += f
+                    us[j] -= f
+                slot_d.append(geom.d)
+    else:
+        ci, cj, r_i, r_j, undeclared = _couples(world.edges, world.radii)
+        p = np.array(pstar)
+        geom = pair_geometry(p[ci], p[cj], r_i, r_j, prm.d_t)
+        contact = np.flatnonzero(undeclared & (np.abs(geom.d) < geom.r_sum))
+        # the same terms in the same (i, j) order as the loop above
+        for i, j in zip(ci[contact].tolist(), cj[contact].tolist()):
+            f = force_repulsion(
+                pair_geometry(pstar[i], pstar[j], world.radii[i], world.radii[j], prm.d_t), prm)
+            us[i] += f
+            us[j] -= f
+        slot_d += geom.d.tolist()
 
     return [saturate(u, prm.c_max) for u in us], tuple(new_pairs), slot_d
 

@@ -123,9 +123,12 @@ def corrected_position(state, gains):
 
 
 def pair_geometry(p_star_i, p_star_j, r_i, r_j, d_t):
-    """Geometry of the (i, j) pair from corrected positions and radii."""
+    """Geometry of the (i, j) pair from corrected positions and radii.
+
+    Elementwise: on numpy arrays of couples it returns a PairGeometry of
+    arrays, each element equal to the scalar call on that couple."""
     d = p_star_j - p_star_i
-    s_d = 1.0 if d >= 0.0 else -1.0
+    s_d = (d >= 0.0) * 2.0 - 1.0
     r_sum = r_i + r_j
     return PairGeometry(d, s_d, d - s_d * r_sum, r_sum, 0.5 * (d_t + r_sum))
 

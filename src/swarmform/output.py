@@ -18,8 +18,9 @@ def _fmt(value):
 def write_trace(trace):
     """Render a Trace as CSV text (header + one row per sample)."""
     lines = [",".join(trace.columns)]
-    for row in trace.data:
-        lines.append(",".join(_fmt(v) for v in row))
+    # one row's Python floats at a time: a whole-trace .tolist() holds
+    # rows x columns float objects at once and raises the peak RSS
+    lines += [",".join([format(v, ".17g") for v in row.tolist()]) for row in trace.data]
     return "\n".join(lines) + "\n"
 
 

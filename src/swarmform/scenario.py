@@ -58,10 +58,14 @@ NUMBER_KEYS = {
 }
 
 
+# One index grammar for keys: a decimal integer without leading zeros.
+_INDEX = r"\[(0|[1-9]\d*)\]"
+
+
 def _row(key):
     """The NUMBER_KEYS row of a concrete key (indices as digits), or None."""
     if "[]" not in key:
-        return NUMBER_KEYS.get(re.sub(r"\[\d+\]", "[]", key))
+        return NUMBER_KEYS.get(re.sub(_INDEX, "[]", key))
 
 
 def _keys(group, index=None):
@@ -183,7 +187,7 @@ class _Entries:
 
     def group_indices(self, prefix):
         """Contiguous 0..N-1 indices present for agent[i]/edge[i]/command[i]."""
-        pat = re.compile(re.escape(prefix) + r"\[(\d+)\]\.")
+        pat = re.compile(re.escape(prefix) + _INDEX + r"\.")
         found = {int(m.group(1)) for key in self.entries if (m := pat.match(key))}
         if found != set(range(len(found))):
             missing = min(set(range(len(found) + 1)) - found)
@@ -215,6 +219,9 @@ def build_scenario(entries):
     dt, t_end, stride = map(e.number, _keys("sim"))
     if t_end < dt:
         raise ScenarioError(f"sim.t_end: must cover at least one step of sim.dt={dt}")
+    if not math.isfinite(t_end / dt):
+        raise ScenarioError(f"sim.dt: too small for sim.t_end={t_end}: "
+                            f"the step count t_end/dt overflows, got {dt}")
 
     variant_raw = e.take("interaction.variant")
     try:

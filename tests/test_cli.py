@@ -135,6 +135,13 @@ def test_run_invalid_scenario_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_run_rejects_a_step_too_small_to_count(tmp_path, capsys):
+    rc = main(["run", DEFAULT, "--out", str(tmp_path / "o"), "--dt", "5e-324"])
+    assert rc == 2
+    assert "sim.dt" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_divergent_scenario_exits_3(tmp_path, capsys):
     cfg = tmp_path / "диverge.cfg"
     cfg.write_text(SHORT.replace("sim.t_end = 16.0", "sim.t_end = 2000\nsim.dt = 1.0")
@@ -237,6 +244,16 @@ def test_sweep_rejects_unsweepable_parameter(capsys):
                "--from", "0", "--to", "1", "--steps", "2"])
     assert rc == 2
     assert "not sweepable" in capsys.readouterr().err
+
+
+def test_sweep_refuses_a_zero_padded_index_up_front(capsys):
+    # the parser takes agent[1].vel only, so no row could run
+    rc = main(["sweep", DEFAULT, "--param", "agent[01].vel",
+               "--from", "1", "--to", "1", "--steps", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "not sweepable" in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_writes_file(tmp_path, short_file):

@@ -1,5 +1,6 @@
 """Engine: step ordering, conservation, events, metrics and determinism."""
 
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -105,6 +106,44 @@ def test_run_is_deterministic():
     t2, m2 = run(sc)
     assert np.array_equal(t1.data, t2.data)
     assert m1 == m2
+
+
+def closing_line(n, free):
+    """n agents 45 m apart (radius 20) whose neighbour pairs (0, 1), (2, 3),
+    ... close on each other.  The pairs listed in `free` carry no edge and
+    meet by the repulsion of undeclared couples."""
+    rng = random.Random(n)
+    agents = [AgentInit(45.0 * i, (2.25 if i % 2 == 0 else -2.25) + rng.uniform(-0.15, 0.15),
+                        0.0, 0.0, 20.0) for i in range(n)]
+    edges = [(i, i + 1) for i in range(0, n - 1, 2) if i // 2 not in free]
+    return make_scenario(agents, edges, dt=0.002, t_end=5.0)
+
+
+def packed_cluster(n):
+    """n agents 12 m apart, each overlapping several others at once, so an
+    agent's command sums more than two terms and their order shows."""
+    rng = random.Random(n)
+    agents = [AgentInit(12.0 * i, rng.uniform(-1.0, 1.0), 0.0, 0.0, 20.0) for i in range(n)]
+    return make_scenario(agents, [(0, 1), (2, 4)], c_max=0.3, dt=0.002, t_end=1.0)
+
+
+@pytest.mark.parametrize("sc", [closing_line(4, (1,)), closing_line(5, (1,)),
+                                closing_line(6, (0, 2)), closing_line(24, (3, 8)),
+                                packed_cluster(6)],
+                         ids=["line4", "line5", "line6", "lattice24", "cluster6"])
+def test_array_range_pass_is_bit_identical_to_the_loop(monkeypatch, sc):
+    results = []
+    for threshold in (10 ** 9, 0):  # the scalar loop, then the array pass
+        monkeypatch.setattr(engine, "ARRAY_COUPLES", threshold)
+        results.append(run(sc))
+    (t_loop, m_loop), (t_arr, m_arr) = results
+    assert np.array_equal(t_loop.data, t_arr.data)
+    assert m_loop == m_arr
+    # the run exercises what the array pass must reproduce
+    undeclared = [k for k, (kind, i, j) in enumerate(t_arr.slots)
+                  if kind == "range" and (i, j) not in sc.edges]
+    contact = np.abs(t_arr.block("d")[:, undeclared]) < np.asarray(t_arr.slot_rsums)[undeclared]
+    assert contact.any()
 
 
 def test_run_aborts_on_divergence():

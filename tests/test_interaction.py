@@ -62,6 +62,21 @@ def test_pair_geometry_tie_break_positive():
     assert geom(0.0).s_d == 1.0
 
 
+def test_pair_geometry_on_arrays_equals_the_scalar_call():
+    # ties (s_d = +1, also for -0.0), negative d, overlap on both sides,
+    # touching and separate spheres, unequal radii
+    p_i = np.array([0.0, 0.0, 10.0, 5.0, 0.0, 0.0, 1e-300, 0.1, 7.0])
+    p_j = np.array([0.0, -0.0, -29.5, 44.9, 40.0, -40.0, 0.0, 0.3, 55.5])
+    r_i = np.array([20.0, 20.0, 20.0, 15.0, 20.0, 20.0, 20.0, 1e-3, 22.5])
+    r_j = np.array([20.0, 20.0, 12.5, 30.0, 20.0, 20.0, 20.0, 2e-3, 20.0])
+    arr = pair_geometry(p_i, p_j, r_i, r_j, 30.0)
+    assert list(arr.s_d) == [1.0, 1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0]
+    for k in range(len(p_i)):
+        one = pair_geometry(float(p_i[k]), float(p_j[k]), float(r_i[k]), float(r_j[k]), 30.0)
+        for field in ("d", "s_d", "c", "r_sum", "b"):
+            assert getattr(arr, field)[k] == getattr(one, field), (k, field)
+
+
 # --- saturation ----------------------------------------------------------
 
 def test_saturate_interior_and_clamp():

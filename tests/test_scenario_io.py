@@ -86,6 +86,14 @@ def test_parse_error_messages_name_the_key():
         assert key in str(err.value)
 
 
+def test_parse_rejects_a_step_count_that_overflows():
+    # t_end / dt = inf: the run could not count its steps
+    with pytest.raises(ScenarioError, match=r"^sim\.dt: .*overflows"):
+        parse_scenario(MINIMAL + "sim.dt = 5e-324\n")
+    with pytest.raises(ScenarioError, match=r"^sim\.dt: "):
+        parse_scenario_with(MINIMAL, {"sim.t_end": 1e300, "sim.dt": 1e-10})
+
+
 def test_parse_rejects_duplicate_key():
     with pytest.raises(ScenarioError, match="duplicate"):
         parse_scenario(MINIMAL + "plant.kp = 7\n")
@@ -199,6 +207,13 @@ def test_is_scalar_key():
     assert not is_scalar_key("command[0].kind")
     assert not is_scalar_key("agent[].vel")
     assert not is_scalar_key("agent[x].vel")
+    # one index grammar with the parser: no leading zeros
+    assert is_scalar_key("agent[0].vel")
+    assert is_scalar_key("agent[10].vel")
+    assert not is_scalar_key("agent[01].vel")
+    assert not is_scalar_key("agent[00].vel")
+    with pytest.raises(ScenarioError, match=r"agent\[01\]\.vel: unknown key"):
+        parse_scenario(MINIMAL + "agent[01].vel = 1.0\n")
 
 
 SHIPPED = sorted(p.stem for p in SCENARIOS.glob("*.cfg"))
