@@ -10,7 +10,7 @@ Subcommands:
   sweep     re-run a scenario over a range of one scalar parameter
             (runs execute concurrently; rows stay ordered by value)
 
-Exit codes: 0 success, 2 usage or validation error, 3 simulation abort.
+Exit codes: 0 success, 2 usage, validation or file error, 3 simulation abort.
 """
 
 import argparse
@@ -23,14 +23,10 @@ import numpy as np
 
 from . import engine, output, scenario as scen
 from .errors import ScenarioError, SimulationAbort, SwarmformError
-from .interaction import InteractionVariant
 from .modal import (PoleSpec, closed_loop_polynomial, desired_polynomial,
                     direct_gain_formula, place_gains, poles_from_spec)
+from .output import format_short
 from .plant import PlantParams
-
-
-def _fmt(v):
-    return format(v, ".12g")
 
 
 def cmd_gains(args):
@@ -43,26 +39,30 @@ def cmd_gains(args):
     residual = max(abs(c - d) / max(1.0, abs(d)) for c, d in zip(closed, desired))
     direct = direct_gain_formula(plant, poles)
 
-    print(f"k_pos: {_fmt(gains.k_pos)}")
-    print(f"k_vel: {_fmt(gains.k_vel)}")
-    print(f"k_tilt: {_fmt(gains.k_tilt)}")
-    print(f"k_rate: {_fmt(gains.k_rate)}")
-    print(f"k1: {_fmt(gains.k1)}")
-    print("desired_polynomial:", " ".join(_fmt(c) for c in desired))
-    print("closed_loop_polynomial:", " ".join(_fmt(c) for c in closed))
-    print(f"residual: {_fmt(residual)}")
-    print("direct_formula:", " ".join(_fmt(v) for v in direct))
+    print(f"k_pos: {format_short(gains.k_pos)}")
+    print(f"k_vel: {format_short(gains.k_vel)}")
+    print(f"k_tilt: {format_short(gains.k_tilt)}")
+    print(f"k_rate: {format_short(gains.k_rate)}")
+    print(f"k1: {format_short(gains.k1)}")
+    print("desired_polynomial:", " ".join(format_short(c) for c in desired))
+    print("closed_loop_polynomial:", " ".join(format_short(c) for c in closed))
+    print(f"residual: {format_short(residual)}")
+    print("direct_formula:", " ".join(format_short(v) for v in direct))
     print("direct_formula_note: entries 1/2 are k_vel/k_pos (transposed); "
           "entry 3 = 1 + k_tilt; entry 4 = k_rate")
     return 0
 
 
-def _load_scenario(path, overrides=None):
+def _load_scenario(path):
+    """Text of a scenario file.  A file that is missing, unreadable or not
+    UTF-8 is a ScenarioError naming the path."""
     p = Path(path)
     if not p.is_file():
         raise ScenarioError(f"scenario file not found: {path}")
-    text = p.read_text()
-    return scen.parse_scenario_with(text, overrides or {})
+    try:
+        return p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ScenarioError(f"scenario file {path}: {err}") from None
 
 
 def _write_outputs(out_dir, trace, metrics, scenario):
@@ -91,10 +91,10 @@ def cmd_run(args):
         overrides["sim.dt"] = args.dt
     if args.t_end is not None:
         overrides["sim.t_end"] = args.t_end
-    scenario = _load_scenario(args.scenario, overrides)
+    scenario = scen.parse_scenario_with(_load_scenario(args.scenario), overrides)
     trace, metrics = engine.run(scenario)
     written = _write_outputs(args.out, trace, metrics, scenario)
-    delta = "undefined" if metrics.delta_rms is None else _fmt(metrics.delta_rms)
+    delta = "undefined" if metrics.delta_rms is None else format_short(metrics.delta_rms)
     print(f"wrote {', '.join(written)} to {args.out}")
     print(f"delta_rms: {delta}")
     print(f"coupling_events: {output.format_events(metrics.coupling_events)}")
@@ -106,17 +106,13 @@ def cmd_compare(args):
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ScenarioError("interaction.variant: no variants given")
-    known = {v.value for v in InteractionVariant}
-    for v in variants:
-        if v not in known:
-            raise ScenarioError(
-                f"interaction.variant: unknown variant {v!r} (one of: {', '.join(sorted(known))})")
+    text = _load_scenario(args.scenario)
+    scenarios = [scen.parse_scenario_with(text, {"interaction.variant": v}) for v in variants]
     deltas = []
-    for v in variants:
-        scenario = _load_scenario(args.scenario, {"interaction.variant": v})
+    for v, scenario in zip(variants, scenarios):
         _, metrics = engine.run(scenario)
         deltas.append(metrics.delta_rms)
-        delta = "undefined" if metrics.delta_rms is None else _fmt(metrics.delta_rms)
+        delta = "undefined" if metrics.delta_rms is None else format_short(metrics.delta_rms)
         reason = f" ({metrics.delta_reason})" if metrics.delta_rms is None else ""
         print(f"variant: {v}")
         print(f"  delta_rms: {delta}{reason}")
@@ -127,7 +123,7 @@ def cmd_compare(args):
         if a is None or b is None or b == 0:
             ratio = "n/a"
         else:
-            ratio = _fmt(a / b)
+            ratio = format_short(a / b)
         print(f"ratio delta_rms({variants[i]})/delta_rms({variants[i + 1]}): {ratio}")
     return 0
 
@@ -155,10 +151,7 @@ def cmd_sweep(args):
     if args.steps < 1:
         print("error: --steps must be >= 1", file=sys.stderr)
         return 2
-    p = Path(args.scenario)
-    if not p.is_file():
-        raise ScenarioError(f"scenario file not found: {args.scenario}")
-    text = p.read_text()
+    text = _load_scenario(args.scenario)
     values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
     tasks = [(text, args.param, v) for v in values]
 
@@ -173,12 +166,12 @@ def cmd_sweep(args):
     for value, status, coupled, delta, t_c, t_u in results:
         status = status.replace(",", ";").replace("\n", " ")
         lines.append(",".join([
-            format(value, ".12g"),
+            format_short(value),
             status,
             str(coupled),
-            "undefined" if delta is None else format(delta, ".12g"),
-            "none" if t_c is None else format(t_c, ".12g"),
-            "none" if t_u is None else format(t_u, ".12g"),
+            "undefined" if delta is None else format_short(delta),
+            "none" if t_c is None else format_short(t_c),
+            "none" if t_u is None else format_short(t_u),
         ]))
     csv = "\n".join(lines) + "\n"
     if args.out:
@@ -240,7 +233,7 @@ def main(argv=None):
     except SimulationAbort as err:
         print(f"simulation aborted: {err}", file=sys.stderr)
         return 3
-    except SwarmformError as err:
+    except (SwarmformError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -6,12 +6,14 @@ One step advances the whole world deterministically:
   2. pair geometry of every declared edge, plus every agent couple i < j
      (the range pass; the undeclared couples interact by plain repulsion
      when their spheres overlap -- collision avoidance between agents that
-     are not part of the formation graph).  From ARRAY_COUPLES couples on
-     (n >= 5) the range pass is one pair_geometry call on arrays of all
-     couples, followed by a scalar repulsion for each undeclared couple in
-     contact, in (i, j) order; below that crossover it is a Python loop.
-     Both add each agent's terms in the same order (edges by index, then
-     contacts by (i, j)), so they give bit-identical commands
+     are not part of the formation graph).  One cached couple table
+     (_couples) lists the couples in trace-slot order.  From ARRAY_COUPLES
+     couples on (n >= 5) the range pass is one pair_geometry call on its
+     arrays; below that crossover it is a Python loop over its rows.  Either
+     side only finds the undeclared couples in contact, and one loop then
+     applies their repulsion in (i, j) order, so each agent adds its terms
+     in the same order (edges by index, then contacts by (i, j)) and both
+     sides give bit-identical commands
   3. coupling state machine of every declared edge, with any uncouple
      commands that latched this step
   4. force of each unordered pair evaluated once and applied with opposite
@@ -77,16 +79,6 @@ class World:
         return self.k * self.dt
 
 
-def pair_slots(n_agents, edges):
-    """Trace bookkeeping slots: declared edges first, then every unordered
-    agent couple (monitored for range interactions)."""
-    slots = [("edge", a, b) for a, b in edges]
-    for i in range(n_agents):
-        for j in range(i + 1, n_agents):
-            slots.append(("range", i, j))
-    return tuple(slots)
-
-
 # Couples, n(n-1)/2, from which _controls evaluates the range pass as one
 # array call per step instead of a Python loop.  engine.run per step on a
 # line of n agents 100 m apart (switching_smooth, edges (0, 1), (2, 3), ...,
@@ -101,16 +93,16 @@ ARRAY_COUPLES = 10
 
 @lru_cache(maxsize=64)
 def _couples(edges, radii):
-    """Index arrays of the range pass over every couple i < j, in the
-    order of pair_slots: (ci, cj, radii[ci], radii[cj], undeclared mask)."""
+    """The range pass's couple table: every agent couple i < j in the order
+    of its trace slots, as rows (i, j, undeclared) and as the arrays
+    (ci, cj, radii[ci], radii[cj], undeclared mask)."""
     ci, cj = np.triu_indices(len(radii), 1)
     r = np.asarray(radii, dtype=float)
-    declared = set(edges)
-    undeclared = np.array([(i, j) not in declared for i, j in zip(ci.tolist(), cj.tolist())])
-    arrays = (ci, cj, r[ci], r[cj], undeclared)
+    rows = tuple((i, j, (i, j) not in edges) for i, j in zip(ci.tolist(), cj.tolist()))
+    arrays = (ci, cj, r[ci], r[cj], np.array([free for _, _, free in rows], dtype=bool))
     for a in arrays:
         a.flags.writeable = False  # shared by every step of every world with this key
-    return arrays
+    return rows, arrays
 
 
 def _controls(world, active_commands):
@@ -120,8 +112,7 @@ def _controls(world, active_commands):
     """
     prm = world.params
     pstar = [corrected_position(s, world.gains) for s in world.agents]
-    n = len(pstar)
-    us = [0.0] * n
+    us = [0.0] * len(pstar)
     slot_d = []
     new_pairs = []
     for k, ((a, b), pair) in enumerate(zip(world.edges, world.pairs)):
@@ -133,28 +124,25 @@ def _controls(world, active_commands):
         new_pairs.append(state)
         slot_d.append(geom.d)
 
-    if n * (n - 1) // 2 < ARRAY_COUPLES:
-        declared = set(world.edges)
-        for i in range(n):
-            for j in range(i + 1, n):
-                geom = pair_geometry(pstar[i], pstar[j], world.radii[i], world.radii[j], prm.d_t)
-                if (i, j) not in declared and abs(geom.d) < geom.r_sum:
-                    f = force_repulsion(geom, prm)
-                    us[i] += f
-                    us[j] -= f
-                slot_d.append(geom.d)
+    couples, (ci, cj, r_i, r_j, undeclared) = _couples(world.edges, world.radii)
+    if len(couples) < ARRAY_COUPLES:
+        contacts = []
+        for i, j, free in couples:
+            geom = pair_geometry(pstar[i], pstar[j], world.radii[i], world.radii[j], prm.d_t)
+            if free and abs(geom.d) < geom.r_sum:
+                contacts.append((i, j))
+            slot_d.append(geom.d)
     else:
-        ci, cj, r_i, r_j, undeclared = _couples(world.edges, world.radii)
         p = np.array(pstar)
         geom = pair_geometry(p[ci], p[cj], r_i, r_j, prm.d_t)
-        contact = np.flatnonzero(undeclared & (np.abs(geom.d) < geom.r_sum))
-        # the same terms in the same (i, j) order as the loop above
-        for i, j in zip(ci[contact].tolist(), cj[contact].tolist()):
-            f = force_repulsion(
-                pair_geometry(pstar[i], pstar[j], world.radii[i], world.radii[j], prm.d_t), prm)
-            us[i] += f
-            us[j] -= f
+        hit = np.flatnonzero(undeclared & (np.abs(geom.d) < geom.r_sum))
+        contacts = zip(ci[hit].tolist(), cj[hit].tolist())
         slot_d += geom.d.tolist()
+    for i, j in contacts:  # undeclared couples in contact, in (i, j) order
+        f = force_repulsion(
+            pair_geometry(pstar[i], pstar[j], world.radii[i], world.radii[j], prm.d_t), prm)
+        us[i] += f
+        us[j] -= f
 
     return [saturate(u, prm.c_max) for u in us], tuple(new_pairs), slot_d
 
@@ -273,7 +261,8 @@ def run(scenario):
     if n_steps < 1:
         raise ConfigurationError(f"t_end {scenario.t_end} shorter than one step dt={dt}")
 
-    slots = pair_slots(len(world.agents), world.edges)
+    couples, _ = _couples(world.edges, world.radii)
+    slots = (*(("edge", a, b) for a, b in world.edges), *(("range", i, j) for i, j, _ in couples))
     slot_rsums = tuple(world.radii[i] + world.radii[j] for _, i, j in slots)
 
     commands = scenario.commands

@@ -3,7 +3,8 @@
 Everything here is a pure function of its inputs with fixed formatting, so
 identical runs produce byte-identical files and golden-file regression is
 the same thing as numerical regression.  Floats are written with 17
-significant digits, which round-trips IEEE doubles exactly.
+significant digits, which round-trips IEEE doubles exactly; event times
+take the 12 of format_short.
 """
 
 import math
@@ -24,10 +25,16 @@ def write_trace(trace):
     return "\n".join(lines) + "\n"
 
 
+def format_short(value):
+    """12 significant digits: the report's event lists and the console and
+    sweep CSV numbers of the command line."""
+    return format(value, ".12g")
+
+
 def format_events(events):
     if not events:
         return "none"
-    return ";".join(f"edge{k}@{format(t, '.12g')}" for k, t in events)
+    return ";".join(f"edge{k}@{format_short(t)}" for k, t in events)
 
 
 def write_report(metrics, scenario):

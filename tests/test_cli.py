@@ -135,6 +135,28 @@ def test_run_invalid_scenario_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.fixture
+def undecodable_file(tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_bytes(b"\xff\xfe\x00bad")
+    return str(p)
+
+
+def test_run_undecodable_scenario_exits_2(undecodable_file, tmp_path, capsys):
+    rc = main(["run", undecodable_file, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"error: scenario file {undecodable_file}:" in capsys.readouterr().err
+
+
+def test_run_out_path_that_is_a_file_exits_2(short_file, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.touch()
+    rc = main(["run", short_file, "--out", str(afile)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(afile) in err
+
+
 def test_run_rejects_a_step_too_small_to_count(tmp_path, capsys):
     rc = main(["run", DEFAULT, "--out", str(tmp_path / "o"), "--dt", "5e-324"])
     assert rc == 2
@@ -174,7 +196,9 @@ def test_compare_reports_attraction_no_coupling(short_file, capsys):
 def test_compare_unknown_variant_exits_2(short_file, capsys):
     rc = main(["compare", short_file, "--variants", "repulsion,sorcery"])
     assert rc == 2
-    assert "sorcery" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # every variant is parsed before the first run
+    assert "interaction.variant" in captured.err and "sorcery" in captured.err
 
 
 # --- sweep ----------------------------------------------------------------------
@@ -262,6 +286,25 @@ def test_sweep_writes_file(tmp_path, short_file):
                "--from", "3.0", "--to", "3.0", "--steps", "1", "--out", str(out)])
     assert rc == 0
     assert out.read_text().startswith("value,status,coupled")
+
+
+def test_sweep_undecodable_scenario_exits_2(undecodable_file, capsys):
+    rc = main(["sweep", undecodable_file, "--param", "interaction.c_max",
+               "--from", "0.1", "--to", "0.1", "--steps", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: scenario file {undecodable_file}:" in captured.err
+
+
+def test_sweep_out_path_under_a_file_exits_2(tmp_path, short_file, capsys):
+    afile = tmp_path / "afile"
+    afile.touch()
+    rc = main(["sweep", short_file, "--param", "agent[1].vel",
+               "--from", "3.0", "--to", "3.0", "--steps", "1", "--out", str(afile / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(afile) in err
 
 
 def test_run_default_reports(tmp_path):

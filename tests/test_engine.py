@@ -1,5 +1,6 @@
 """Engine: step ordering, conservation, events, metrics and determinism."""
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -127,11 +128,18 @@ def packed_cluster(n):
     return make_scenario(agents, [(0, 1), (2, 4)], c_max=0.3, dt=0.002, t_end=1.0)
 
 
-@pytest.mark.parametrize("sc", [closing_line(4, (1,)), closing_line(5, (1,)),
-                                closing_line(6, (0, 2)), closing_line(24, (3, 8)),
-                                packed_cluster(6)],
-                         ids=["line4", "line5", "line6", "lattice24", "cluster6"])
-def test_array_range_pass_is_bit_identical_to_the_loop(monkeypatch, sc):
+# digest: sha256 of the recorded trace.data.tobytes().  Both sides of the range
+# pass share one contact loop, so their equality cannot show a change in an
+# agent's summation order (edges by index, then undeclared contacts by
+# (i, j)); the recorded trace does.
+@pytest.mark.parametrize("sc, digest", [
+    (closing_line(4, (1,)), "bd6c10c563aea4613128dab2c9ea793ffaffc9e55f63f8a393f99c0ece2f8dc5"),
+    (closing_line(5, (1,)), "c823f5748de386f786e80d5077e5afd8cb27143abd4019ffc29e02d1acef3e20"),
+    (closing_line(6, (0, 2)), "00a8069e6f2734be1d1897c74c11f8f32a8a354a6701480f8da9969475e6e0c1"),
+    (closing_line(24, (3, 8)), "fcbe897a1a24e1e53716af75e689c7c307fa724dce58fa987dd7ceae885626d2"),
+    (packed_cluster(6), "510acdd5fe969cede905299a3a893646e41317262c3563f0f24b9c0058815f4a")],
+    ids=["line4", "line5", "line6", "lattice24", "cluster6"])
+def test_array_range_pass_is_bit_identical_to_the_loop(monkeypatch, sc, digest):
     results = []
     for threshold in (10 ** 9, 0):  # the scalar loop, then the array pass
         monkeypatch.setattr(engine, "ARRAY_COUPLES", threshold)
@@ -139,6 +147,7 @@ def test_array_range_pass_is_bit_identical_to_the_loop(monkeypatch, sc):
     (t_loop, m_loop), (t_arr, m_arr) = results
     assert np.array_equal(t_loop.data, t_arr.data)
     assert m_loop == m_arr
+    assert hashlib.sha256(t_arr.data.tobytes()).hexdigest() == digest
     # the run exercises what the array pass must reproduce
     undeclared = [k for k, (kind, i, j) in enumerate(t_arr.slots)
                   if kind == "range" and (i, j) not in sc.edges]
@@ -302,6 +311,8 @@ def test_world_validation():
 
 def test_trace_column_lookup(chain_run):
     _, trace, _ = chain_run
+    assert trace.slots == (("edge", 0, 1), ("edge", 1, 2),
+                           ("range", 0, 1), ("range", 0, 2), ("range", 1, 2))
     # 3 agents, 2 edges + 3 monitored couples: 1 + 3*5 + 5*2 + 1 columns
     assert len(trace.columns) == trace.data.shape[1] == 27
     with pytest.raises(KeyError, match="agent0_pos"):
