@@ -17,6 +17,7 @@ import argparse
 import concurrent.futures
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +40,8 @@ def cmd_gains(args):
     residual = max(abs(c - d) / max(1.0, abs(d)) for c, d in zip(closed, desired))
     direct = direct_gain_formula(plant, poles)
 
-    print(f"k_pos: {format_short(gains.k_pos)}")
-    print(f"k_vel: {format_short(gains.k_vel)}")
-    print(f"k_tilt: {format_short(gains.k_tilt)}")
-    print(f"k_rate: {format_short(gains.k_rate)}")
-    print(f"k1: {format_short(gains.k1)}")
+    for f in fields(gains):
+        print(f"{f.name}: {format_short(getattr(gains, f.name))}")
     print("desired_polynomial:", " ".join(format_short(c) for c in desired))
     print("closed_loop_polynomial:", " ".join(format_short(c) for c in closed))
     print(f"residual: {format_short(residual)}")
@@ -66,9 +64,9 @@ def _load_scenario(path):
 
 
 def _write_outputs(out_dir, trace, metrics, scenario):
-    """Write the run's files into out_dir and return their names."""
+    """Write the run's files into the existing directory out_dir and return
+    their names."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "trace.csv").write_text(output.write_trace(trace))
     (out / "report.txt").write_text(output.write_report(metrics, scenario))
     vel_cols = [f"agent{i}_vel" for i in range(trace.n_agents)] + ["rms"]
@@ -85,6 +83,16 @@ def _write_outputs(out_dir, trace, metrics, scenario):
     return written
 
 
+def _print_outcome(metrics, indent=""):
+    """Print a run's delta_rms, with the reason when it is undefined, and
+    its coupling and uncoupling events."""
+    delta = (f"undefined ({metrics.delta_reason})" if metrics.delta_rms is None
+             else format_short(metrics.delta_rms))
+    print(f"{indent}delta_rms: {delta}")
+    print(f"{indent}coupling_events: {output.format_events(metrics.coupling_events)}")
+    print(f"{indent}uncoupling_events: {output.format_events(metrics.uncoupling_events)}")
+
+
 def cmd_run(args):
     overrides = {}
     if args.dt is not None:
@@ -92,13 +100,11 @@ def cmd_run(args):
     if args.t_end is not None:
         overrides["sim.t_end"] = args.t_end
     scenario = scen.parse_scenario_with(_load_scenario(args.scenario), overrides)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the run
     trace, metrics = engine.run(scenario)
     written = _write_outputs(args.out, trace, metrics, scenario)
-    delta = "undefined" if metrics.delta_rms is None else format_short(metrics.delta_rms)
     print(f"wrote {', '.join(written)} to {args.out}")
-    print(f"delta_rms: {delta}")
-    print(f"coupling_events: {output.format_events(metrics.coupling_events)}")
-    print(f"uncoupling_events: {output.format_events(metrics.uncoupling_events)}")
+    _print_outcome(metrics)
     return 0
 
 
@@ -112,12 +118,8 @@ def cmd_compare(args):
     for v, scenario in zip(variants, scenarios):
         _, metrics = engine.run(scenario)
         deltas.append(metrics.delta_rms)
-        delta = "undefined" if metrics.delta_rms is None else format_short(metrics.delta_rms)
-        reason = f" ({metrics.delta_reason})" if metrics.delta_rms is None else ""
         print(f"variant: {v}")
-        print(f"  delta_rms: {delta}{reason}")
-        print(f"  coupling_events: {output.format_events(metrics.coupling_events)}")
-        print(f"  uncoupling_events: {output.format_events(metrics.uncoupling_events)}")
+        _print_outcome(metrics, indent="  ")
     for i in range(len(variants) - 1):
         a, b = deltas[i], deltas[i + 1]
         if a is None or b is None or b == 0:
@@ -145,13 +147,14 @@ def _sweep_worker(task):
 
 def cmd_sweep(args):
     if not scen.is_scalar_key(args.param):
-        print(f"error: parameter {args.param!r} is not sweepable "
-              "(must be a scalar scenario key, e.g. interaction.c_max)", file=sys.stderr)
-        return 2
+        raise SwarmformError(f"parameter {args.param!r} is not sweepable "
+                             "(must be a scalar scenario key, e.g. interaction.c_max)")
     if args.steps < 1:
-        print("error: --steps must be >= 1", file=sys.stderr)
-        return 2
+        raise SwarmformError("--steps must be >= 1")
     text = _load_scenario(args.scenario)
+    if args.out:  # an unusable --out fails before the runs
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        open(args.out, "a").close()
     values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
     tasks = [(text, args.param, v) for v in values]
 
@@ -175,7 +178,6 @@ def cmd_sweep(args):
         ]))
     csv = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(csv)
         print(f"wrote {len(results)} rows to {args.out}")
     else:

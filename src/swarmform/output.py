@@ -7,13 +7,13 @@ significant digits, which round-trips IEEE doubles exactly; event times
 take the 12 of format_short.
 """
 
+import html
 import math
+from dataclasses import astuple, fields
+from itertools import repeat
 
 from .errors import ConfigurationError
-
-
-def _fmt(value):
-    return format(value, ".17g")
+from .scenario import _fmt, _keys
 
 
 def write_trace(trace):
@@ -40,43 +40,28 @@ def format_events(events):
 def write_report(metrics, scenario):
     """Key-value run report: resolved scenario parameters plus metrics.
 
-    The key set and order are fixed across variants and outcomes; values
-    that do not apply read 'none'.
+    The scenario keys are those of scenario.NUMBER_KEYS and the gains are
+    named gains.<Gains field>.  The key set and order are fixed across
+    variants and outcomes; values that do not apply read 'none'.
     """
     gains = scenario.resolved_gains()
-    kv = []
-    kv.append(("variant", scenario.variant.value))
-    kv.append(("plant.kp", _fmt(scenario.plant.k_p)))
-    kv.append(("plant.kd", _fmt(scenario.plant.k_d)))
-    kv.append(("plant.g", _fmt(scenario.plant.g)))
-    if scenario.poles is not None:
-        kv.append(("poles.rl", _fmt(scenario.poles.rl)))
-        kv.append(("poles.iml", _fmt(scenario.poles.iml)))
-        kv.append(("poles.imr", _fmt(scenario.poles.imr)))
-    else:
-        kv += [("poles.rl", "none"), ("poles.iml", "none"), ("poles.imr", "none")]
-    kv.append(("gains.k_pos", _fmt(gains.k_pos)))
-    kv.append(("gains.k_vel", _fmt(gains.k_vel)))
-    kv.append(("gains.k_tilt", _fmt(gains.k_tilt)))
-    kv.append(("gains.k_rate", _fmt(gains.k_rate)))
-    kv.append(("gains.k1", _fmt(gains.k1)))
-    kv.append(("interaction.c_max", _fmt(scenario.c_max)))
-    kv.append(("interaction.d_t", _fmt(scenario.d_t)))
-    kv.append(("interaction.eps", _fmt(scenario.eps)))
-    kv.append(("sim.dt", _fmt(scenario.dt)))
-    kv.append(("sim.t_end", _fmt(scenario.t_end)))
-    kv.append(("sim.stride", str(scenario.stride)))
-    kv.append(("agents", str(len(scenario.agents))))
-    kv.append(("edges", str(len(scenario.edges))))
-    kv.append(("commands", str(len(scenario.commands))))
-    kv.append(("rms_before", _fmt(metrics.rms_before)))
-    kv.append(("rms_after", _fmt(metrics.rms_after)))
-    kv.append(("delta_rms", "undefined" if metrics.delta_rms is None else _fmt(metrics.delta_rms)))
-    kv.append(("delta_rms_reason", metrics.delta_reason or "none"))
-    kv.append(("coupling_events", format_events(metrics.coupling_events)))
-    kv.append(("uncoupling_events", format_events(metrics.uncoupling_events)))
-    kv.append(("velocity_sum_drift", _fmt(metrics.velocity_sum_drift)))
-    return "\n".join(f"{k}: {v}" for k, v in kv) + "\n"
+    poles = repeat("none") if scenario.poles is None else astuple(scenario.poles)
+    kv = [("variant", scenario.variant.value),
+          *zip(_keys("plant"), astuple(scenario.plant)),
+          *zip(_keys("poles"), poles),
+          *zip([f"gains.{f.name}" for f in fields(gains)], astuple(gains)),
+          # interaction.k1 is reported resolved, as gains.k1
+          *zip(_keys("interaction"), (scenario.c_max, scenario.d_t, scenario.eps)),
+          *zip(_keys("sim"), (scenario.dt, scenario.t_end, scenario.stride)),
+          ("agents", len(scenario.agents)), ("edges", len(scenario.edges)),
+          ("commands", len(scenario.commands)),
+          ("rms_before", metrics.rms_before), ("rms_after", metrics.rms_after),
+          ("delta_rms", "undefined" if metrics.delta_rms is None else metrics.delta_rms),
+          ("delta_rms_reason", metrics.delta_reason or "none"),
+          ("coupling_events", format_events(metrics.coupling_events)),
+          ("uncoupling_events", format_events(metrics.uncoupling_events)),
+          ("velocity_sum_drift", metrics.velocity_sum_drift)]
+    return "".join(f"{k}: {_fmt(v)}\n" for k, v in kv)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -92,17 +77,11 @@ def _nice_ticks(lo, hi, target=6):
         return [lo]
     raw = span / target
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    v = first
-    while v <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(v) < 1e-12 * span else v)
-        v += step
-    return ticks
+    step = next(mult * mag for mult in (1.0, 2.0, 5.0, 10.0) if raw <= mult * mag)
+    # whole multiples of step: finite however large lo is next to the span,
+    # and k = 0 gives an exact 0
+    last = math.floor((hi + 1e-9 * span) / step)
+    return [k * step for k in range(math.ceil(lo / step), last + 1)]
 
 
 def _tick_label(v):
@@ -131,6 +110,8 @@ def render_svg(trace, columns, title=""):
     lo = min(float(s.min()) for s in series)
     hi = max(float(s.max()) for s in series)
     pad = 0.05 * (hi - lo) if hi > lo else 1.0
+    if lo - pad == hi + pad:  # a constant series so large that the unit pad vanishes
+        pad = 0.05 * abs(lo)
     lo, hi = lo - pad, hi + pad
 
     pw = _W - _ML - _MR
@@ -147,7 +128,7 @@ def render_svg(trace, columns, title=""):
                f'viewBox="0 0 {_W} {_H}" font-family="Helvetica,Arial,sans-serif" font-size="11">')
     out.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
     if title:
-        out.append(f'<text x="{_ML}" y="{_MT - 12}" font-size="13">{title}</text>')
+        out.append(f'<text x="{_ML}" y="{_MT - 12}" font-size="13">{html.escape(title)}</text>')
 
     # axes + ticks
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
@@ -192,7 +173,7 @@ def render_svg(trace, columns, title=""):
         ly = _MT + 10 + 16 * si
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 18}" y2="{ly}" '
                    f'stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{lx + 23}" y="{ly + 3.5}">{name}</text>')
+        out.append(f'<text x="{lx + 23}" y="{ly + 3.5}">{html.escape(name)}</text>')
 
     out.append('</svg>')
     return "\n".join(out) + "\n"

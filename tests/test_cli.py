@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import swarmform
+from swarmform import engine
 from swarmform.cli import main
 
 from conftest import SCENARIOS
@@ -53,6 +54,41 @@ def test_gains_reference_output(capsys):
     assert float(kv["k_pos"]) == pytest.approx(0.0296347, abs=1e-6)
     assert float(kv["residual"]) < 1e-9
     assert kv["desired_polynomial"].split() == ["1", "24", "144.3125", "7.26", "43.563025"]
+
+
+GAINS_STDOUT = {
+    "shipped": (["--rl", "12", "--iml", "0.1", "--imr", "0.55"], """\
+k_pos: 0.0296347108844
+k_vel: 0.0049387755102
+k_tilt: -0.0379166666667
+k_rate: -0.00666666666667
+k1: 0.0296347108844
+desired_polynomial: 1 24 144.3125 7.26 43.563025
+closed_loop_polynomial: 1 24 144.3125 7.26 43.563025
+residual: 1.22338625303e-16
+direct_formula: 0.0049387755102 0.0296347108844 0.962083333333 -0.00666666666667
+direct_formula_note: entries 1/2 are k_vel/k_pos (transposed); entry 3 = 1 + k_tilt; entry 4 = k_rate
+"""),
+    "k1": (["--rl", "0", "--iml", "1", "--imr", "1", "--k1", "0.5"], """\
+k_pos: 0.000680272108844
+k_vel: 0
+k_tilt: -0.986666666667
+k_rate: -0.166666666667
+k1: 0.5
+desired_polynomial: 1 0 2 0 1
+closed_loop_polynomial: 1 0 2 0 1
+residual: 1.88737914186e-15
+direct_formula: -0 0.000680272108844 0.0133333333333 -0.166666666667
+direct_formula_note: entries 1/2 are k_vel/k_pos (transposed); entry 3 = 1 + k_tilt; entry 4 = k_rate
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAINS_STDOUT))
+def test_gains_stdout_is_pinned(case, capsys):
+    poles, expected = GAINS_STDOUT[case]
+    assert main(["gains", "--kp", "6", "--kd", "25", "--g", "9.8", *poles]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_gains_symmetric_pole_polynomial(capsys):
@@ -148,7 +184,15 @@ def test_run_undecodable_scenario_exits_2(undecodable_file, tmp_path, capsys):
     assert f"error: scenario file {undecodable_file}:" in capsys.readouterr().err
 
 
-def test_run_out_path_that_is_a_file_exits_2(short_file, tmp_path, capsys):
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if a simulation starts."""
+    def run(scenario):
+        raise AssertionError("the run started before --out was checked")
+    monkeypatch.setattr(engine, "run", run)
+
+
+def test_run_out_path_that_is_a_file_exits_2(short_file, tmp_path, capsys, no_run):
     afile = tmp_path / "afile"
     afile.touch()
     rc = main(["run", short_file, "--out", str(afile)])
@@ -162,6 +206,14 @@ def test_run_rejects_a_step_too_small_to_count(tmp_path, capsys):
     assert rc == 2
     assert "sim.dt" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_run_prints_why_delta_rms_is_undefined(tmp_path, capsys):
+    rc = main(["run", str(SCENARIOS / "three_agent_chain.cfg"), "--t-end", "12",
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert ("delta_rms: undefined (no settled command-free window after the interaction)\n"
+            in capsys.readouterr().out)
 
 
 def test_run_divergent_scenario_exits_3(tmp_path, capsys):
@@ -297,7 +349,7 @@ def test_sweep_undecodable_scenario_exits_2(undecodable_file, capsys):
     assert f"error: scenario file {undecodable_file}:" in captured.err
 
 
-def test_sweep_out_path_under_a_file_exits_2(tmp_path, short_file, capsys):
+def test_sweep_out_path_under_a_file_exits_2(tmp_path, short_file, capsys, no_run):
     afile = tmp_path / "afile"
     afile.touch()
     rc = main(["sweep", short_file, "--param", "agent[1].vel",
@@ -305,6 +357,14 @@ def test_sweep_out_path_under_a_file_exits_2(tmp_path, short_file, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(afile) in err
+
+
+def test_sweep_out_path_that_is_a_directory_exits_2(tmp_path, short_file, capsys, no_run):
+    rc = main(["sweep", short_file, "--param", "agent[1].vel",
+               "--from", "3.0", "--to", "3.0", "--steps", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_run_default_reports(tmp_path):

@@ -1,7 +1,9 @@
 """Scenario parsing/serialisation and the CSV/report/SVG writers."""
 
+import hashlib
 import itertools
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -119,12 +121,13 @@ def test_poles_and_explicit_gains_are_exclusive():
                                  "gains.ktilt = -0.03\ngains.krate = -0.006\n")
 
 
+EXPLICIT_GAINS = (MINIMAL.replace("poles.rl = 12.0\n", "").replace(
+    "poles.iml = 0.1\n", "").replace("poles.imr = 0.55\n", "")
+    + "gains.kpos = 0.03\ngains.kvel = 0.005\ngains.ktilt = -0.038\ngains.krate = -0.0067\n")
+
+
 def test_explicit_gains_scenario():
-    text = MINIMAL.replace("poles.rl = 12.0\n", "").replace(
-        "poles.iml = 0.1\n", "").replace("poles.imr = 0.55\n", "")
-    text += ("gains.kpos = 0.03\ngains.kvel = 0.005\n"
-             "gains.ktilt = -0.038\ngains.krate = -0.0067\n")
-    sc = parse_scenario(text)
+    sc = parse_scenario(EXPLICIT_GAINS)
     g = sc.resolved_gains()
     assert (g.k_pos, g.k_vel, g.k_tilt, g.k_rate) == (0.03, 0.005, -0.038, -0.0067)
     assert g.k1 == 0.03
@@ -303,6 +306,28 @@ def test_report_contents(default_run):
     assert "delta_rms: 0.008" in report
 
 
+# sha256 of write_report for each shipped two-agent scenario and for the
+# explicit-gains scenario (poles.* read none)
+REPORT_SHA256 = {
+    "repulsion": "de108a6bfab1b3ed0113728f61b7b58497243fbbbc15532bf213a90c262bdc70",
+    "attraction": "860941c7d018d40b0f35be5f42ec5b4001329e3db91043aa49e659de417b2a67",
+    "switching_step": "6bd00e26b0b73609c6fb99410c4fcf26861d2fc8e8fc7dbf94a60868b5dfd92c",
+    "switching_smooth": "18acd432594ddb19303dd759945d87800274fc936c7f1f09a2449a310c1eb60d",
+    "explicit_gains": "08c66323a7c5a19760bb9fa2b3c91d9e1c148fa585960f928fb5633fffe370a3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned(default_run, case):
+    if case == "explicit_gains":
+        sc = parse_scenario(EXPLICIT_GAINS)
+        _, metrics = run(sc)
+    else:
+        sc, _, metrics = default_run(case)
+    report = write_report(metrics, sc).encode()
+    assert hashlib.sha256(report).hexdigest() == REPORT_SHA256[case]
+
+
 def test_svg_renders_and_is_deterministic():
     _, t1, _ = short_run()
     _, t2, _ = short_run()
@@ -325,3 +350,33 @@ def test_svg_rejects_unknown_or_empty_columns():
     assert "agent0_vel" in str(err.value)  # lists what is available
     with pytest.raises(ConfigurationError):
         render_svg(trace, [])
+
+
+def far_pair(vel1):
+    """Two agents 1e16 m apart, agent 1 moving at vel1, for 0.1 s."""
+    text = MINIMAL.replace("agent[0].pos = 50.0", "agent[0].pos = 1e16").replace(
+        "agent[0].vel = -1.5", "agent[0].vel = 0.0").replace(
+        "agent[1].vel = 3.0", f"agent[1].vel = {vel1}") + "sim.t_end = 0.1\n"
+    trace, _ = run(parse_scenario(text))
+    return trace
+
+
+def test_svg_axis_ticks_are_finite_far_from_zero():
+    # separations 1e16 .. 1e16 + 4: adding the tick step (1) to 1e16 leaves
+    # it unchanged, so ticks built by accumulation would never reach the end
+    svg = render_svg(far_pair(40.0), ["pair0_d"])
+    ET.fromstring(svg)
+    assert svg.count('text-anchor="end"') <= 12  # y tick labels
+
+
+def test_svg_constant_series_far_from_zero():
+    # a constant 1e16 m separation: the +/-1 pad vanishes against 1e16
+    svg = render_svg(far_pair(0.0), ["pair0_d"])
+    ET.fromstring(svg)
+
+
+def test_svg_escapes_its_title():
+    _, trace, _ = short_run()
+    root = ET.fromstring(render_svg(trace, ["rms"], title="a < b & c"))
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "a < b & c" in texts
