@@ -8,8 +8,8 @@ selected pairs at a prescribed separation, forming and releasing structures
 on command.
 """
 
-from .engine import (DeltaRmsResult, Metrics, Trace, World, build_world,
-                     delta_rms, rms_velocity, run, step)
+from .engine import (DeltaRmsResult, Metrics, Trace, World, WorldConstants,
+                     build_world, delta_rms, rms_velocity, run, step)
 from .errors import (ConfigurationError, ModelValidityWarning,
                      NumericDomainError, ScenarioError, SimulationAbort,
                      SwarmformError, SynthesisError)
@@ -34,7 +34,8 @@ __all__ = [
     "InteractionVariant", "Metrics", "ModelValidityWarning",
     "NumericDomainError", "PairGeometry", "PairState", "PlantParams",
     "PoleSpec", "Scenario", "ScenarioError", "SimulationAbort",
-    "SwarmformError", "SynthesisError", "Trace", "World", "build_world",
+    "SwarmformError", "SynthesisError", "Trace", "World", "WorldConstants",
+    "build_world",
     "closed_loop_polynomial", "corrected_position", "delta_rms",
     "derivative", "desired_polynomial", "direct_gain_formula",
     "force_attraction", "force_repulsion", "force_switching_smooth",

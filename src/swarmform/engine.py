@@ -28,9 +28,9 @@ columns are the observed model output) and derives Metrics from it.
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import zip_longest
 
 import numpy as np
 
@@ -44,18 +44,15 @@ TILT_LIMIT = 0.5  # rad; beyond this the small-angle model is suspect
 
 
 @dataclass(frozen=True)
-class World:
-    """Complete simulation state after k steps of dt.
+class WorldConstants:
+    """The parts of a world that no step changes, validated once when built.
 
     edges holds the declared formation edges as (a, b) agent indices with
-    a < b, and pairs[k] the coupling state of edges[k].
+    a < b; radii holds one interaction radius per agent.
     """
 
-    k: int
-    agents: tuple
     radii: tuple
     edges: tuple
-    pairs: tuple
     gains: object
     plant: object
     params: object  # interaction parameters shared by every pair, declared or not
@@ -64,19 +61,40 @@ class World:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigurationError(f"world dt must be > 0, got {self.dt}")
-        if len(self.radii) != len(self.agents):
-            raise ConfigurationError("one interaction radius per agent required")
-        if len(self.pairs) != len(self.edges):
-            raise ConfigurationError("one coupling state per declared edge required")
-        n = len(self.agents)
+        n = len(self.radii)
         for a, b in self.edges:
             if not (0 <= a < n and 0 <= b < n and a < b):
                 raise ConfigurationError(
                     f"edge ({a}, {b}) must reference distinct agents as a < b, n={n}")
 
+
+@dataclass(frozen=True)
+class World:
+    """Complete simulation state after k steps of const.dt.
+
+    Only k, agents and pairs change from step to step; pairs[k] is the
+    coupling state of const.edges[k].  Each step's dataclasses.replace
+    copies these and the reference to const, whose checks ran once.
+    """
+
+    k: int
+    agents: tuple
+    pairs: tuple
+    const: WorldConstants
+
+    def __post_init__(self):
+        if len(self.const.radii) != len(self.agents):
+            raise ConfigurationError("one interaction radius per agent required")
+        if len(self.pairs) != len(self.const.edges):
+            raise ConfigurationError("one coupling state per declared edge required")
+
+    @property
+    def edges(self):
+        return self.const.edges
+
     @property
     def t(self):
-        return self.k * self.dt
+        return self.k * self.const.dt
 
 
 # Couples, n(n-1)/2, from which _controls evaluates the range pass as one
@@ -108,52 +126,57 @@ def _couples(edges, radii):
 def _controls(world, active_commands):
     """Stages 1-5 of a step: pair bookkeeping and per-agent commands.
 
-    Returns (commands, updated pair states, slot separations).
+    Returns (commands, updated pair states, edge separations, range-pass
+    separations).  The range-pass separations come as computed: a list
+    below ARRAY_COUPLES, an array from it on.
     """
-    prm = world.params
-    pstar = [corrected_position(s, world.gains) for s in world.agents]
+    const = world.const
+    prm, radii, gains = const.params, const.radii, const.gains
+    pstar = [corrected_position(s, gains) for s in world.agents]
     us = [0.0] * len(pstar)
-    slot_d = []
+    edge_d = []
     new_pairs = []
-    for k, ((a, b), pair) in enumerate(zip(world.edges, world.pairs)):
-        geom = pair_geometry(pstar[a], pstar[b], world.radii[a], world.radii[b], prm.d_t)
+    for k, ((a, b), pair) in enumerate(zip(const.edges, world.pairs)):
+        geom = pair_geometry(pstar[a], pstar[b], radii[a], radii[b], prm.d_t)
         state = update_pair(pair, geom, prm, k in active_commands)
         f = pair_force(geom, state, prm)
         us[a] += f
         us[b] -= f
         new_pairs.append(state)
-        slot_d.append(geom.d)
+        edge_d.append(geom.d)
 
-    couples, (ci, cj, r_i, r_j, undeclared) = _couples(world.edges, world.radii)
+    couples, (ci, cj, r_i, r_j, undeclared) = _couples(const.edges, radii)
     if len(couples) < ARRAY_COUPLES:
         contacts = []
+        range_d = []
         for i, j, free in couples:
-            geom = pair_geometry(pstar[i], pstar[j], world.radii[i], world.radii[j], prm.d_t)
+            geom = pair_geometry(pstar[i], pstar[j], radii[i], radii[j], prm.d_t)
             if free and abs(geom.d) < geom.r_sum:
                 contacts.append((i, j))
-            slot_d.append(geom.d)
+            range_d.append(geom.d)
     else:
         p = np.array(pstar)
         geom = pair_geometry(p[ci], p[cj], r_i, r_j, prm.d_t)
         hit = np.flatnonzero(undeclared & (np.abs(geom.d) < geom.r_sum))
         contacts = zip(ci[hit].tolist(), cj[hit].tolist())
-        slot_d += geom.d.tolist()
+        range_d = geom.d
     for i, j in contacts:  # undeclared couples in contact, in (i, j) order
         f = force_repulsion(
-            pair_geometry(pstar[i], pstar[j], world.radii[i], world.radii[j], prm.d_t), prm)
+            pair_geometry(pstar[i], pstar[j], radii[i], radii[j], prm.d_t), prm)
         us[i] += f
         us[j] -= f
 
-    return [saturate(u, prm.c_max) for u in us], tuple(new_pairs), slot_d
+    return [saturate(u, prm.c_max) for u in us], tuple(new_pairs), edge_d, range_d
 
 
 def _integrate(world, us):
+    dt, plant = world.const.dt, world.const.plant
     new_agents = []
     for idx, (s, u) in enumerate(zip(world.agents, us)):
-        s2 = rk4_step(s, u, world.dt, world.plant)
+        s2 = rk4_step(s, u, dt, plant)
         if not (math.isfinite(s2.pos) and math.isfinite(s2.vel)
                 and math.isfinite(s2.tilt) and math.isfinite(s2.tilt_rate)):
-            raise SimulationAbort((world.k + 1) * world.dt, idx, s2)
+            raise SimulationAbort((world.k + 1) * dt, idx, s2)
         new_agents.append(s2)
     return replace(world, k=world.k + 1, agents=tuple(new_agents))
 
@@ -161,7 +184,7 @@ def _integrate(world, us):
 def step(world, active_commands=frozenset()):
     """Advance the world by one step.  `active_commands` holds the indices
     of edges whose uncouple command latches at this instant."""
-    us, pairs, _ = _controls(world, active_commands)
+    us, pairs, _, _ = _controls(world, active_commands)
     return _integrate(replace(world, pairs=pairs), us)
 
 
@@ -245,11 +268,10 @@ def build_world(scenario):
     gains = scenario.resolved_gains()
     params = InteractionParams(scenario.c_max, scenario.d_t, scenario.eps,
                                scenario.variant, gains.k1)
+    const = WorldConstants(tuple(a.radius for a in scenario.agents), scenario.edges,
+                           gains, scenario.plant, params, scenario.dt)
     agents = tuple(AgentState(a.pos, a.vel, a.tilt, a.rate) for a in scenario.agents)
-    radii = tuple(a.radius for a in scenario.agents)
-    pairs = (PairState(),) * len(scenario.edges)
-    return World(0, agents, radii, scenario.edges, pairs, gains, scenario.plant,
-                 params, scenario.dt)
+    return World(0, agents, (PairState(),) * len(scenario.edges), const)
 
 
 def run(scenario):
@@ -261,13 +283,15 @@ def run(scenario):
     if n_steps < 1:
         raise ConfigurationError(f"t_end {scenario.t_end} shorter than one step dt={dt}")
 
-    couples, _ = _couples(world.edges, world.radii)
-    slots = (*(("edge", a, b) for a, b in world.edges), *(("range", i, j) for i, j, _ in couples))
-    slot_rsums = tuple(world.radii[i] + world.radii[j] for _, i, j in slots)
+    radii, edges = world.const.radii, world.const.edges
+    couples, _ = _couples(edges, radii)
+    slots = (*(("edge", a, b) for a, b in edges), *(("range", i, j) for i, j, _ in couples))
+    slot_rsums = tuple(radii[i] + radii[j] for _, i, j in slots)
+    n_cols = 2 + len(Trace.AGENT_FIELDS) * len(radii) + len(Trace.SLOT_FIELDS) * len(slots)
 
     commands = scenario.commands
     fired = [False] * len(commands)
-    rows = []
+    samples = array("d")  # the sampled rows, one after another
     coupling_events = []
     uncoupling_events = []
     tilt_warned = False
@@ -280,7 +304,7 @@ def run(scenario):
                 fired[ci] = True
                 active.add(cmd.edge)
 
-        us, pairs, slot_d = _controls(world, active)
+        us, pairs, edge_d, range_d = _controls(world, active)
         for e, (old, new) in enumerate(zip(world.pairs, pairs)):
             if new.f_en != old.f_en:
                 (coupling_events if new.f_en else uncoupling_events).append((e, t_k))
@@ -289,12 +313,14 @@ def run(scenario):
         if k % stride == 0:
             row = [t_k]
             for s, u in zip(world.agents, us):
-                row += [s.pos, s.vel, s.tilt, s.tilt_rate, u]
+                row += (s.pos, s.vel, s.tilt, s.tilt_rate, u)
+            for d, p in zip(edge_d, pairs):
+                row += (d, p.f_en)
             # monitored couples carry no coupling state: their indicator is 0
-            for d, fen in zip_longest(slot_d, (p.f_en for p in world.pairs), fillvalue=0):
-                row += [d, fen]
+            for d in range_d:
+                row += (d, 0)
             row.append(rms_velocity(s.vel for s in world.agents))
-            rows.append(row)
+            samples.extend(row)
 
         if not tilt_warned and any(abs(s.tilt) > TILT_LIMIT for s in world.agents):
             tilt_warned = True
@@ -305,7 +331,7 @@ def run(scenario):
         if k < n_steps:
             world = _integrate(world, us)
 
-    trace = Trace(np.asarray(rows, dtype=float), dt, stride,
+    trace = Trace(np.frombuffer(samples).reshape(-1, n_cols), dt, stride,
                   len(world.agents), slots, slot_rsums)
     dres = delta_rms(trace)
     vsums = sum(trace.block("vel").T)  # left to right; .sum(axis=1) rounds differently

@@ -18,11 +18,11 @@ from .scenario import _fmt, _keys
 
 def write_trace(trace):
     """Render a Trace as CSV text (header + one row per sample)."""
-    lines = [",".join(trace.columns)]
+    row = ",".join(["%.17g"] * trace.data.shape[1]) + "\n"
     # one row's Python floats at a time: a whole-trace .tolist() holds
     # rows x columns float objects at once and raises the peak RSS
-    lines += [",".join([format(v, ".17g") for v in row.tolist()]) for row in trace.data]
-    return "\n".join(lines) + "\n"
+    return "".join([",".join(trace.columns) + "\n",
+                    *[row % tuple(r.tolist()) for r in trace.data]])
 
 
 def format_short(value):
@@ -71,17 +71,30 @@ _W, _H = 880, 430
 _ML, _MR, _MT, _MB = 66, 180, 34, 46
 
 
-def _nice_ticks(lo, hi, target=6):
+def _ticks(lo, hi, target=6):
+    """Ticks from lo to hi at whole multiples k * step of a 1-2-5 step, as
+    (offsets from lo, labels, base).
+
+    A label is the tick's value and base is None, unless two adjacent labels
+    read the same (a span tiny next to the values).  Then each label is the
+    exact offset (k - k0) * step from the first tick, base = k0 * step, which
+    the axis shows once, and each offset from lo is summed from these exact
+    parts, so ticks that round to one float stay apart.
+    """
     span = hi - lo
     if span <= 0:
-        return [lo]
+        return [0.0], [_tick_label(lo)], None
     raw = span / target
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(mult * mag for mult in (1.0, 2.0, 5.0, 10.0) if raw <= mult * mag)
-    # whole multiples of step: finite however large lo is next to the span,
-    # and k = 0 gives an exact 0
-    last = math.floor((hi + 1e-9 * span) / step)
-    return [k * step for k in range(math.ceil(lo / step), last + 1)]
+    # whole k: finite however large lo is next to the span, and k = 0 gives an exact 0
+    ks = range(math.ceil(lo / step), math.floor((hi + 1e-9 * span) / step) + 1)
+    labels = [_tick_label(k * step) for k in ks]
+    if all(a != b for a, b in zip(labels, labels[1:])):
+        return [k * step - lo for k in ks], labels, None
+    base = ks[0] * step
+    offsets = [(k - ks[0]) * step for k in ks]
+    return [(base - lo) + o for o in offsets], [_tick_label(o) for o in offsets], base
 
 
 def _tick_label(v):
@@ -117,11 +130,12 @@ def render_svg(trace, columns, title=""):
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
 
-    def px(x):
-        return _ML + (x - x0) / (x1 - x0) * pw
+    # pixel coordinates of offsets from x0 and lo, for floats and arrays alike
+    def px(dx):
+        return _ML + dx / (x1 - x0) * pw
 
-    def py(y):
-        return _MT + (1.0 - (y - lo) / (hi - lo)) * ph
+    def py(dy):
+        return _MT + (1.0 - dy / (hi - lo)) * ph
 
     out = []
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -133,37 +147,43 @@ def render_svg(trace, columns, title=""):
     # axes + ticks
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
                f'fill="none" stroke="#333" stroke-width="1"/>')
-    for xv in _nice_ticks(x0, x1):
-        X = px(xv)
+    offsets, labels, xbase = _ticks(x0, x1)
+    for dx, label in zip(offsets, labels):
+        X = px(dx)
         out.append(f'<line x1="{X:.2f}" y1="{_MT + ph}" x2="{X:.2f}" y2="{_MT + ph + 4}" stroke="#333"/>')
         out.append(f'<line x1="{X:.2f}" y1="{_MT}" x2="{X:.2f}" y2="{_MT + ph}" '
                    f'stroke="#ddd" stroke-width="0.5"/>')
-        out.append(f'<text x="{X:.2f}" y="{_MT + ph + 16}" text-anchor="middle">{_tick_label(xv)}</text>')
-    for yv in _nice_ticks(lo, hi):
-        Y = py(yv)
+        out.append(f'<text x="{X:.2f}" y="{_MT + ph + 16}" text-anchor="middle">{label}</text>')
+    offsets, labels, ybase = _ticks(lo, hi)
+    for dy, label in zip(offsets, labels):
+        Y = py(dy)
         out.append(f'<line x1="{_ML - 4}" y1="{Y:.2f}" x2="{_ML}" y2="{Y:.2f}" stroke="#333"/>')
         out.append(f'<line x1="{_ML}" y1="{Y:.2f}" x2="{_ML + pw}" y2="{Y:.2f}" '
                    f'stroke="#ddd" stroke-width="0.5"/>')
-        out.append(f'<text x="{_ML - 7}" y="{Y + 3.5:.2f}" text-anchor="end">{_tick_label(yv)}</text>')
+        out.append(f'<text x="{_ML - 7}" y="{Y + 3.5:.2f}" text-anchor="end">{label}</text>')
     out.append(f'<text x="{_ML + pw / 2:.2f}" y="{_H - 10}" text-anchor="middle">t (s)</text>')
+    if xbase is not None:
+        out.append(f'<text x="{_ML + pw}" y="{_H - 10}" text-anchor="end">offset {xbase:.17g}</text>')
+    if ybase is not None:
+        out.append(f'<text x="{_ML + pw}" y="{_MT - 4}" text-anchor="end">offset {ybase:.17g}</text>')
 
     # event markers from coupling-indicator transitions
     for fen in trace.block("fen").T:
         flips = (fen[1:] != fen[:-1]).nonzero()[0]
         for idx in flips:
-            tv = float(t[idx + 1])
             rising = fen[idx + 1] > fen[idx]
             color = "#2ca02c" if rising else "#d62728"
             label = "C" if rising else "U"
-            X = px(tv)
+            X = px(float(t[idx + 1]) - x0)
             out.append(f'<line x1="{X:.2f}" y1="{_MT}" x2="{X:.2f}" y2="{_MT + ph}" '
                        f'stroke="{color}" stroke-dasharray="4,3" stroke-width="1"/>')
             out.append(f'<text x="{X + 2:.2f}" y="{_MT + 11}" fill="{color}">{label}</text>')
 
     # data series
-    for si, (name, s) in enumerate(zip(columns, series)):
+    xs = px(t - x0).tolist()
+    for si, s in enumerate(series):
         color = _PALETTE[si % len(_PALETTE)]
-        pts = " ".join(f"{px(float(xv)):.2f},{py(float(yv)):.2f}" for xv, yv in zip(t, s))
+        pts = " ".join(["%.2f,%.2f" % p for p in zip(xs, py(s - lo).tolist())])
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
 
     # legend

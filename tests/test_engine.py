@@ -6,13 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmform import (AgentState, ConfigurationError, InteractionVariant,
                        ModelValidityWarning, NumericDomainError, PairState,
                        PlantParams, PoleSpec, SimulationAbort, World,
-                       build_world, delta_rms, engine, rk4_step, rms_velocity,
-                       run, step)
-from swarmform.scenario import AgentInit, Scenario
+                       WorldConstants, build_world, delta_rms, engine, rk4_step,
+                       rms_velocity, run, step, write_trace)
+from swarmform.scenario import AgentInit, Command, Scenario
 
 PLANT = PlantParams(6.0, 25.0, 9.8)
 POLES = PoleSpec(12.0, 0.1, 0.55)
@@ -155,6 +156,13 @@ def test_array_range_pass_is_bit_identical_to_the_loop(monkeypatch, sc, digest):
     assert contact.any()
 
 
+def test_lattice_trace_csv_is_pinned():
+    # 24 agents: the range pass runs as one array call per step
+    trace, _ = run(closing_line(24, (3, 8)))
+    assert hashlib.sha256(write_trace(trace).encode()).hexdigest() == (
+        "55fc4ffac2b25eaaadb7bb5e0636f0a3837ae5c9920ab40861ad5e938aac7495")
+
+
 def test_run_aborts_on_divergence():
     # dt far beyond the RK4 stability limit of the fast poles
     sc = make_scenario([AgentInit(0.0, 0.0, 0.3, 0.0, 20.0)],
@@ -292,21 +300,75 @@ def test_run_with_explicit_gains():
     assert np.array_equal(t1.data, t2.data)
 
 
-def test_world_validation():
+@st.composite
+def small_swarms(draw):
+    """1-6 agents within reach of each other, random edges and uncouple
+    commands: 0-15 couples, so both sides of ARRAY_COUPLES are drawn."""
+    n = draw(st.integers(1, 6))
+    # neighbours close on each other, some from just beyond the coupling distance
+    gaps = [0.0] + [draw(st.floats(30.5, 36.0) | st.floats(10.0, 45.0)) for _ in range(n - 1)]
+    agents = [AgentInit(sum(gaps[:i + 1]), (-1) ** i * draw(st.floats(0.0, 8.0)), 0.0, 0.0,
+                        draw(st.floats(16.0, 30.0))) for i in range(n)]
+    couples = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(couples), unique=True)) if couples else []
+    t_end = draw(st.floats(0.05, 1.0))
+    commands = [Command(draw(st.floats(0.0, t_end)), "uncouple",
+                        draw(st.integers(0, len(edges) - 1)))
+                for _ in range(draw(st.integers(0, 2 if edges else 0)))]
+    return make_scenario(agents, edges, commands,
+                         variant=draw(st.sampled_from(InteractionVariant)),
+                         dt=0.005, t_end=t_end, stride=draw(st.integers(1, 7)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_swarms())
+def test_runs_and_step_loops_are_deterministic(sc):
+    trace, metrics = run(sc)
+    again, metrics_again = run(sc)
+    assert write_trace(trace) == write_trace(again) and metrics == metrics_again
+
+    # step() with run()'s command timing, up to the last sampled step
+    w = build_world(sc)
+    fired = [False] * len(sc.commands)
+    last_k = int(round(sc.t_end / sc.dt)) // sc.stride * sc.stride
+    while w.k < last_k:
+        active = set()
+        for c, cmd in enumerate(sc.commands):
+            if not fired[c] and w.t >= cmd.t - 1e-9:
+                fired[c] = True
+                active.add(cmd.edge)
+        w = step(w, active)
+    assert w.k == last_k and w.t == trace.data[-1, 0]
+    last = np.stack([trace.block(f)[-1] for f in ("pos", "vel", "tilt", "rate")], axis=1)
+    assert np.array_equal([[s.pos, s.vel, s.tilt, s.tilt_rate] for s in w.agents], last)
+
+
+def test_world_validation(monkeypatch):
     sc = make_scenario([AgentInit(0.0, 1.0, 0.0, 0.0, 20.0),
                         AgentInit(50.0, -1.0, 0.0, 0.0, 20.0)], edges=[(0, 1)])
     w = build_world(sc)
-    assert w.edges == ((0, 1),) and w.pairs == (PairState(),)
-    with pytest.raises(ConfigurationError):
-        World(0, w.agents, w.radii[:1], w.edges, w.pairs, w.gains, w.plant, w.params, w.dt)
-    with pytest.raises(ConfigurationError):
-        replace(w, dt=0.0)
-    with pytest.raises(ConfigurationError):
-        replace(w, edges=((1, 0),))
-    with pytest.raises(ConfigurationError):
-        replace(w, edges=((0, 5),))
+    assert w.edges == w.const.edges == ((0, 1),) and w.pairs == (PairState(),)
+    # the fixed parts check themselves when built
+    with pytest.raises(ConfigurationError, match="dt"):
+        replace(w.const, dt=0.0)
+    with pytest.raises(ConfigurationError, match=r"edge \(1, 0\)"):
+        replace(w.const, edges=((1, 0),))
+    with pytest.raises(ConfigurationError, match=r"edge \(0, 5\)"):
+        replace(w.const, edges=((0, 5),))
+    # the world checks its state against them
+    with pytest.raises(ConfigurationError, match="radius"):
+        World(0, w.agents, (), replace(w.const, radii=w.const.radii[:1], edges=()))
     with pytest.raises(ConfigurationError, match="coupling state"):
         replace(w, pairs=())
+
+    # a per-step rebuild does not check the fixed parts again
+    checks = []
+    check = WorldConstants.__post_init__
+    monkeypatch.setattr(WorldConstants, "__post_init__",
+                        lambda self: checks.append(self) or check(self))
+    assert replace(w, k=w.k + 1).t == sc.dt and checks == []
+    run(sc)
+    assert len(checks) == 1
 
 
 def test_trace_column_lookup(chain_run):

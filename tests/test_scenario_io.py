@@ -13,6 +13,7 @@ from swarmform import (AgentInit, Command, ConfigurationError, InteractionVarian
                        PlantParams, PoleSpec, Scenario, ScenarioError, build_world,
                        parse_scenario, parse_scenario_with, render_svg, run,
                        serialize_scenario, step, write_report, write_trace)
+from swarmform import cli, output
 from swarmform.scenario import is_scalar_key
 
 from conftest import SCENARIOS, scenario_text
@@ -328,6 +329,45 @@ def test_report_bytes_are_pinned(default_run, case):
     assert hashlib.sha256(report).hexdigest() == REPORT_SHA256[case]
 
 
+# sha256 of the files the run command writes, for each shipped scenario and
+# for switching_step sampled on every step (the benchmark's dense trace)
+ARTIFACT_SHA256 = {
+    "repulsion": ("db83eede71663c780325dccb111637571521d3a75484a162969894d18b0e797c",
+                  "d425dd148f359c612c109d88dea74b7e9077d94394302aab747b813ddcbc88c8",
+                  "f096dd5841ec31b95553e415cb1ff2255a1a197f9a934cd56ff3b6ba4b82763e"),
+    "attraction": ("0da109bb2216ce546c9c40aafe532c5da1a9bce4f8f217079b18e26ab3870dfe",
+                   "9a4f0618494bfc79d1d3c14443f3bd688c13507d5c5008150be693740883c739",
+                   "b2895ace3ae93bbce7f83ef59b63f39e260d24da9e992e1af9e49612a5921c55"),
+    "switching_step": ("3c9b818253bcca32b4c183f0fcb8086cc7a5ac83f8829349de62a80f4a7b1346",
+                       "fbbaf1eacd1ee736392c2469ed19147a8a471bf193c49e95638663bf0d2ac075",
+                       "4e15c14d365cf67673eec25ed4816998cd1c54b1e4c9d527e47b092de2248b26"),
+    "switching_smooth": ("f7c595b103a1e97ac73f4a98836f80d1c1632f1153d531e3f3827e3b72c98420",
+                         "4aa3bffa3807eae64c397a691f2c817c37a71fd7591d259050cbcb8e32c3ebff",
+                         "8b3f6605957501538acc17d5e7ab043a1e7a3b3c503f0cd9be30f0e86ce68642"),
+    "three_agent_chain": ("09c8b16e96cccd280e7e67e831256b80f275ba74e250f63d2fd74a5422241050",
+                          "ac793af3e52f4d083b82ce122ee67d7f1927b5b6892fefb7d241a84867c0cfa1",
+                          "9f2cce7072e3284ccb00c26f948e44bf3cd6c76ad78f4eabae427dc643e36e1b"),
+    "switching_step_stride1": ("60b5191b0d01a4fd955b448c3ca18db7b2af8ad1015bc4b230cdf5037ebc5087",
+                               "2744a5a71e3627832a29174ed6655dbe230ed58d913556bda49c15ac18574d3f",
+                               "28580b0890bd03f8f064e58659b51091c8b0d2cb1a09fc49dbd11c51a52ab585"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARTIFACT_SHA256))
+def test_artifact_bytes_are_pinned(default_run, chain_run, tmp_path, case):
+    if case == "three_agent_chain":
+        sc, trace, metrics = chain_run
+    elif case == "switching_step_stride1":
+        sc = parse_scenario_with(scenario_text("two_agent_switching_step"), {"sim.stride": 1})
+        trace, metrics = run(sc)
+    else:
+        sc, trace, metrics = default_run(case)
+    cli._write_outputs(tmp_path, trace, metrics, sc)
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("trace.csv", "velocities.svg", "distances.svg"))
+    assert digests == ARTIFACT_SHA256[case]
+
+
 def test_svg_renders_and_is_deterministic():
     _, t1, _ = short_run()
     _, t2, _ = short_run()
@@ -367,6 +407,18 @@ def test_svg_axis_ticks_are_finite_far_from_zero():
     svg = render_svg(far_pair(40.0), ["pair0_d"])
     ET.fromstring(svg)
     assert svg.count('text-anchor="end"') <= 12  # y tick labels
+
+
+def test_svg_tick_labels_stay_distinct_far_from_zero():
+    # ticks 1 apart at -1e16, where doubles lie 2 apart: .6g labels all read
+    # -1e+16, so the ticks are labelled as offsets from a base shown once
+    root = ET.fromstring(render_svg(far_pair(40.0), ["pair0_d"]))
+    texts = list(root.iter("{http://www.w3.org/2000/svg}text"))
+    y_ticks = [el for el in texts if el.get("x") == str(output._ML - 7)]
+    assert [el.text for el in y_ticks] == ["0", "1", "2", "3", "4"]
+    assert len({el.get("y") for el in y_ticks}) == 5
+    assert [el.text for el in texts if el.text.startswith("offset")] == [
+        "offset -9999999999999994"]
 
 
 def test_svg_constant_series_far_from_zero():
