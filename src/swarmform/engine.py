@@ -20,7 +20,12 @@ One step advances the whole world deterministically:
      signs to its two agents, so pair contributions cancel in the sum
   5. per-agent command sum clamped to the tilt saturation (a clipped sum no
      longer cancels, and the swarm's velocity sum drifts: velocity_sum_drift)
-  6. one Runge-Kutta step per agent under the held command
+  6. one Runge-Kutta step per agent under the held command.  Below
+     ARRAY_AGENTS agents the world holds one AgentState per agent and each
+     takes its own rk4_step; from ARRAY_AGENTS on it holds one (n, 4)
+     array, one rk4_stack call advances all agents and one np.isfinite
+     call checks them.  rk4_stack does per element what rk4_step does, so
+     both sides give bit-identical traces
 
 A run samples the world every `stride` steps into a Trace (the velocity
 columns are the observed model output) and derives Metrics from it.
@@ -38,7 +43,7 @@ from .errors import ConfigurationError, ModelValidityWarning, NumericDomainError
 from .interaction import (InteractionParams, PairState, corrected_position,
                           force_repulsion, pair_force, pair_geometry, saturate,
                           update_pair)
-from .plant import AgentState, rk4_step
+from .plant import AgentState, rk4_stack, rk4_step
 
 TILT_LIMIT = 0.5  # rad; beyond this the small-angle model is suspect
 
@@ -61,6 +66,8 @@ class WorldConstants:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigurationError(f"world dt must be > 0, got {self.dt}")
+        if self.gains.k_pos == 0:  # corrected positions divide by it
+            raise ConfigurationError("corrected coordinates need k_pos != 0")
         n = len(self.radii)
         for a, b in self.edges:
             if not (0 <= a < n and 0 <= b < n and a < b):
@@ -75,6 +82,11 @@ class World:
     Only k, agents and pairs change from step to step; pairs[k] is the
     coupling state of const.edges[k].  Each step's dataclasses.replace
     copies these and the reference to const, whose checks ran once.
+
+    agents holds one state per agent: a tuple of AgentState below
+    ARRAY_AGENTS agents, and from it on a read-only (n, 4) float array whose
+    rows are in AgentState field order (pos, vel, tilt, tilt_rate).
+    build_world picks the form from the agent count.
     """
 
     k: int
@@ -108,6 +120,17 @@ class World:
 #   array us 14.5  15.7  18.6  19.8  22.8  24.1  26.9
 ARRAY_COUPLES = 10
 
+# Agents from which World.agents is one (n, 4) array and _integrate advances
+# every agent with one rk4_stack call instead of one rk4_step per agent.
+# engine.run per step on perfbench's lattice line of n agents (switching_smooth,
+# neighbours closing in pairs, sim.dt 2 ms, 4 s = 2001 steps), per-agent path
+# against the array path, same process, alternating, best of 7, CPU time,
+# Python 3.11 and numpy 2.4, 2-core x86-64 (BENCH_10.json):
+#   n         8     12    14    16    18    20    24    32    48
+#   agent us  23.9  31.6  35.6  39.3  43.2  47.2  55.3  72.2  108.5
+#   array us  34.6  38.1  39.8  41.3  42.8  44.6  48.0  56.6  76.1
+ARRAY_AGENTS = 18
+
 
 @lru_cache(maxsize=64)
 def _couples(edges, radii):
@@ -132,7 +155,15 @@ def _controls(world, active_commands):
     """
     const = world.const
     prm, radii, gains = const.params, const.radii, const.gains
-    pstar = [corrected_position(s, gains) for s in world.agents]
+    if isinstance(world.agents, np.ndarray):
+        pos, vel, tilt, rate = world.agents.T
+        # corrected_position's expression over the columns; WorldConstants
+        # has checked k_pos != 0
+        p = (gains.k_pos * pos + gains.k_vel * vel + gains.k_tilt * tilt
+             + gains.k_rate * rate) / gains.k_pos
+        pstar = p.tolist()
+    else:
+        pstar = p = [corrected_position(s, gains) for s in world.agents]
     us = [0.0] * len(pstar)
     edge_d = []
     new_pairs = []
@@ -155,7 +186,7 @@ def _controls(world, active_commands):
                 contacts.append((i, j))
             range_d.append(geom.d)
     else:
-        p = np.array(pstar)
+        p = np.asarray(p)
         geom = pair_geometry(p[ci], p[cj], r_i, r_j, prm.d_t)
         hit = np.flatnonzero(undeclared & (np.abs(geom.d) < geom.r_sum))
         contacts = zip(ci[hit].tolist(), cj[hit].tolist())
@@ -170,7 +201,21 @@ def _controls(world, active_commands):
 
 
 def _integrate(world, us):
+    """Stage 6 of a step: advance every agent under its held command.
+    Raises SimulationAbort with the first agent whose new state is not
+    finite."""
     dt, plant = world.const.dt, world.const.plant
+    if isinstance(world.agents, np.ndarray):
+        x = rk4_stack(world.agents.T, us, dt, plant)
+        finite = np.isfinite(x)
+        if not finite.all():
+            # a non-finite input gives a non-finite column, so the first bad
+            # column is the agent the per-agent loop stops at; rk4_step on
+            # it raises or returns what that loop raises or aborts with
+            idx = int(finite.all(axis=0).argmin())
+            bad = rk4_step(AgentState(*world.agents[idx].tolist()), us[idx], dt, plant)
+            raise SimulationAbort((world.k + 1) * dt, idx, bad)
+        return replace(world, k=world.k + 1, agents=_stacked(x))
     new_agents = []
     for idx, (s, u) in enumerate(zip(world.agents, us)):
         s2 = rk4_step(s, u, dt, plant)
@@ -181,6 +226,21 @@ def _integrate(world, us):
     return replace(world, k=world.k + 1, agents=tuple(new_agents))
 
 
+def _stacked(x):
+    """World.agents from a (4, n) stack of state rows: its read-only
+    (n, 4) transpose, one row per agent."""
+    x.flags.writeable = False
+    return x.T
+
+
+# Python floats overflow to inf and turn invalid operations into nan without a
+# warning, and numpy warns.  step() and run() silence numpy here, so the array
+# paths behave as the per-agent path does: _integrate's finiteness check
+# reports the agent.
+_FLOAT_SEMANTICS = {"over": "ignore", "invalid": "ignore"}
+
+
+@np.errstate(**_FLOAT_SEMANTICS)
 def step(world, active_commands=frozenset()):
     """Advance the world by one step.  `active_commands` holds the indices
     of edges whose uncouple command latches at this instant."""
@@ -270,10 +330,15 @@ def build_world(scenario):
                                scenario.variant, gains.k1)
     const = WorldConstants(tuple(a.radius for a in scenario.agents), scenario.edges,
                            gains, scenario.plant, params, scenario.dt)
-    agents = tuple(AgentState(a.pos, a.vel, a.tilt, a.rate) for a in scenario.agents)
+    states = [(a.pos, a.vel, a.tilt, a.rate) for a in scenario.agents]
+    if len(states) >= ARRAY_AGENTS:
+        agents = _stacked(np.array(states, dtype=float).T)
+    else:
+        agents = tuple(AgentState(*s) for s in states)
     return World(0, agents, (PairState(),) * len(scenario.edges), const)
 
 
+@np.errstate(**_FLOAT_SEMANTICS)
 def run(scenario):
     """Execute a scenario from t = 0 to t_end.  Returns (Trace, Metrics)."""
     world = build_world(scenario)
@@ -289,8 +354,8 @@ def run(scenario):
     slot_rsums = tuple(radii[i] + radii[j] for _, i, j in slots)
     n_cols = 2 + len(Trace.AGENT_FIELDS) * len(radii) + len(Trace.SLOT_FIELDS) * len(slots)
 
-    commands = scenario.commands
-    fired = [False] * len(commands)
+    firing = _firing_steps(scenario.commands, dt, n_steps)
+    stacked = isinstance(world.agents, np.ndarray)
     samples = array("d")  # the sampled rows, one after another
     coupling_events = []
     uncoupling_events = []
@@ -298,31 +363,32 @@ def run(scenario):
 
     for k in range(n_steps + 1):
         t_k = world.t
-        active = set()
-        for ci, cmd in enumerate(commands):
-            if not fired[ci] and t_k >= cmd.t - 1e-9:
-                fired[ci] = True
-                active.add(cmd.edge)
-
-        us, pairs, edge_d, range_d = _controls(world, active)
+        us, pairs, edge_d, range_d = _controls(world, firing.get(k, ()))
         for e, (old, new) in enumerate(zip(world.pairs, pairs)):
             if new.f_en != old.f_en:
                 (coupling_events if new.f_en else uncoupling_events).append((e, t_k))
         world = replace(world, pairs=pairs)
 
         if k % stride == 0:
-            row = [t_k]
-            for s, u in zip(world.agents, us):
-                row += (s.pos, s.vel, s.tilt, s.tilt_rate, u)
+            if stacked:
+                row = [t_k, *np.vstack((world.agents.T, us)).T.ravel().tolist()]
+                vel = world.agents[:, 1].tolist()
+            else:
+                row = [t_k]
+                for s, u in zip(world.agents, us):
+                    row += (s.pos, s.vel, s.tilt, s.tilt_rate, u)
+                vel = [s.vel for s in world.agents]
             for d, p in zip(edge_d, pairs):
                 row += (d, p.f_en)
             # monitored couples carry no coupling state: their indicator is 0
             for d in range_d:
                 row += (d, 0)
-            row.append(rms_velocity(s.vel for s in world.agents))
+            row.append(rms_velocity(vel))
             samples.extend(row)
 
-        if not tilt_warned and any(abs(s.tilt) > TILT_LIMIT for s in world.agents):
+        if not tilt_warned and (
+                np.abs(world.agents[:, 2]).max() > TILT_LIMIT if stacked
+                else any(abs(s.tilt) > TILT_LIMIT for s in world.agents)):
             tilt_warned = True
             warnings.warn(
                 f"tilt exceeded {TILT_LIMIT} rad at t={t_k:.3f} s; "
@@ -339,6 +405,24 @@ def run(scenario):
     metrics = Metrics(dres.rms_before, dres.rms_after, dres.value, dres.reason,
                       tuple(coupling_events), tuple(uncoupling_events), drift)
     return trace, metrics
+
+
+def _firing_steps(commands, dt, n_steps):
+    """{step k: edges whose uncouple command fires at k}.  A command fires
+    at the first k up to n_steps with k * dt >= t - 1e-9, the test a step()
+    caller makes on World.t."""
+    firing = {}
+    for cmd in commands:
+        due = cmd.t - 1e-9
+        if not n_steps * dt >= due:  # never due, or NaN
+            continue
+        k = math.ceil(max(due, 0.0) / dt)
+        while k > 0 and (k - 1) * dt >= due:
+            k -= 1
+        while k * dt < due:
+            k += 1
+        firing.setdefault(k, set()).add(cmd.edge)
+    return firing
 
 
 SETTLED_TILT = 1e-3  # rad; tilts below this count as settled flight

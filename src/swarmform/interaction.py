@@ -28,7 +28,7 @@ recaptured before it escapes.
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
@@ -229,7 +229,7 @@ def update_pair(pair, geom, params, uncouple_cmd_active):
     """
     ad = abs(geom.d)
     if params.variant not in _SWITCHING:
-        return replace(pair, last_abs_d=ad)
+        return PairState(pair.f_en, pair.uncouple_pending, ad)
 
     f_en = pair.f_en
     pending = pair.uncouple_pending

@@ -18,6 +18,8 @@ trace downstream; no separate output map is materialised).
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError, NumericDomainError
 
 
@@ -120,3 +122,36 @@ def rk4_step(state, u_held, dt, plant):
         tilt + s * (c1 + 2.0 * (c2 + c3) + c4),
         rate + s * (d1 + 2.0 * (d2 + d3) + d4),
     )
+
+
+def rk4_stack(x, u, dt, plant):
+    """rk4_step for n agents at once: x is a (4, n) array of state rows
+    (pos, vel, tilt, tilt_rate) and u the n held commands.
+
+    Each stage derivative f(y) is taken of a whole stacked stage state y.
+    Per element this is rk4_step's own sequence of operations (numpy rounds
+    each add and multiply as Python floats do and fuses none), so column i
+    of the result is bit-identical to rk4_step on agent i.  Unlike
+    rk4_step it checks nothing: the caller validates dt once and the
+    finiteness of the result.  Where rk4_step silently overflows to inf,
+    numpy warns unless the caller silences it (engine.run and engine.step
+    do).
+    """
+    kpkd = plant.k_p * plant.k_d
+    kd = plant.k_d
+    g = plant.g
+    force = kpkd * np.asarray(u, dtype=float)
+
+    def f(y):
+        k = np.empty_like(y)
+        k[0::2] = y[1::2]  # d_pos = vel, d_tilt = tilt_rate
+        k[1] = g * y[2]
+        k[3] = force - kpkd * y[2] - kd * y[3]
+        return k
+
+    h2 = 0.5 * dt
+    k1 = f(x)
+    k2 = f(x + h2 * k1)
+    k3 = f(x + h2 * k2)
+    k4 = f(x + dt * k3)
+    return x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)

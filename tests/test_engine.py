@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swarmform import (AgentState, ConfigurationError, InteractionVariant,
                        ModelValidityWarning, NumericDomainError, PairState,
@@ -132,7 +132,8 @@ def packed_cluster(n):
 # digest: sha256 of the recorded trace.data.tobytes().  Both sides of the range
 # pass share one contact loop, so their equality cannot show a change in an
 # agent's summation order (edges by index, then undeclared contacts by
-# (i, j)); the recorded trace does.
+# (i, j)); the recorded trace does.  Each case runs on all four combinations
+# of the two crossovers: range loop or array pass, per-agent or array state.
 @pytest.mark.parametrize("sc, digest", [
     (closing_line(4, (1,)), "bd6c10c563aea4613128dab2c9ea793ffaffc9e55f63f8a393f99c0ece2f8dc5"),
     (closing_line(5, (1,)), "c823f5748de386f786e80d5077e5afd8cb27143abd4019ffc29e02d1acef3e20"),
@@ -142,13 +143,17 @@ def packed_cluster(n):
     ids=["line4", "line5", "line6", "lattice24", "cluster6"])
 def test_array_range_pass_is_bit_identical_to_the_loop(monkeypatch, sc, digest):
     results = []
-    for threshold in (10 ** 9, 0):  # the scalar loop, then the array pass
-        monkeypatch.setattr(engine, "ARRAY_COUPLES", threshold)
-        results.append(run(sc))
-    (t_loop, m_loop), (t_arr, m_arr) = results
-    assert np.array_equal(t_loop.data, t_arr.data)
-    assert m_loop == m_arr
-    assert hashlib.sha256(t_arr.data.tobytes()).hexdigest() == digest
+    for agents in (10 ** 9, 0):  # AgentState per agent, then one (n, 4) array
+        monkeypatch.setattr(engine, "ARRAY_AGENTS", agents)
+        for couples in (10 ** 9, 0):  # the scalar loop, then the array pass
+            monkeypatch.setattr(engine, "ARRAY_COUPLES", couples)
+            assert isinstance(build_world(sc).agents, np.ndarray) == (agents == 0)
+            results.append(run(sc))
+    (t_loop, m_loop), *others = results
+    for t_arr, m_arr in others:
+        assert np.array_equal(t_loop.data, t_arr.data)
+        assert m_loop == m_arr
+        assert hashlib.sha256(t_arr.data.tobytes()).hexdigest() == digest
     # the run exercises what the array pass must reproduce
     undeclared = [k for k, (kind, i, j) in enumerate(t_arr.slots)
                   if kind == "range" and (i, j) not in sc.edges]
@@ -163,15 +168,42 @@ def test_lattice_trace_csv_is_pinned():
         "55fc4ffac2b25eaaadb7bb5e0636f0a3837ae5c9920ab40861ad5e938aac7495")
 
 
-def test_run_aborts_on_divergence():
-    # dt far beyond the RK4 stability limit of the fast poles
+def test_run_aborts_on_divergence(monkeypatch):
+    # dt far beyond the RK4 stability limit of the fast poles; in the trio,
+    # only agent 1 leaves its rest state (agent 2 rests at 1e6 m)
     sc = make_scenario([AgentInit(0.0, 0.0, 0.3, 0.0, 20.0)],
                        dt=1.0, t_end=2000.0, stride=100)
-    with pytest.warns(ModelValidityWarning):
-        with pytest.raises(SimulationAbort) as err:
+    trio = make_scenario([AgentInit(0.0, 0.0, 0.0, 0.0, 20.0),
+                          AgentInit(1e3, 0.0, 0.3, 0.0, 20.0),
+                          AgentInit(1e6, 0.0, 0.0, 0.0, 20.0)],
+                         dt=1.0, t_end=2000.0, stride=100)
+    for scenario, agent in ((sc, 0), (trio, 1)):
+        aborts = []
+        for threshold in (10 ** 9, 0):  # per-agent rk4_step, then one rk4_stack
+            monkeypatch.setattr(engine, "ARRAY_AGENTS", threshold)
+            with pytest.warns(ModelValidityWarning):
+                with pytest.raises(SimulationAbort) as err:
+                    run(scenario)
+            aborts.append(err.value)
+        loop, stacked = aborts
+        assert loop.agent == stacked.agent == agent
+        assert loop.t == stacked.t > 0
+        assert str(loop) == str(stacked)
+
+
+@pytest.mark.parametrize("n", [2, 5])  # 5 agents: the array range pass as well
+def test_non_finite_command_raises_the_same_error_on_both_sides(monkeypatch, n):
+    # corrected positions overflow to inf, so the edge separation is nan and
+    # so is agent 0's command: rk4_step rejects it before any state diverges,
+    # and numpy warns nowhere on the way
+    sc = make_scenario([AgentInit(1.7e308, 1.7e308, 0.0, 0.0, 20.0)] * n, edges=[(0, 1)])
+    messages = []
+    for threshold in (10 ** 9, 0):
+        monkeypatch.setattr(engine, "ARRAY_AGENTS", threshold)
+        with pytest.raises(NumericDomainError, match="non-finite plant input") as err:
             run(sc)
-    assert err.value.agent == 0
-    assert err.value.t > 0
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_tilt_warning_on_large_tilt():
@@ -320,8 +352,26 @@ def small_swarms(draw):
                          dt=0.005, t_end=t_end, stride=draw(st.integers(1, 7)))
 
 
+def released_at(*times):
+    """A switching_step pair that enters its switching neighbourhood at
+    8.49 s and is still in it at RELEASE_STEP, with uncouple commands on
+    its edge at `times`: the pair releases on the step its command fires."""
+    return make_scenario([AgentInit(0.0, 2.25, 0.0, 0.0, 20.0),
+                          AgentInit(45.0, -2.25, 0.0, 0.0, 20.0)], [(0, 1)],
+                         [Command(t, "uncouple", 0) for t in times],
+                         variant=InteractionVariant.SWITCHING_STEP, dt=0.005, t_end=9.0, stride=5)
+
+
+RELEASE_STEP = 1699
+ON_GRID = RELEASE_STEP * 0.005  # 8.495000000000001
+
+
 @settings(derandomize=True, deadline=None)
 @given(small_swarms())
+@example(released_at(ON_GRID))
+@example(released_at(ON_GRID - 1e-10))
+@example(released_at(ON_GRID + 1e-10))
+@example(released_at(ON_GRID, ON_GRID + 1e-10))  # two commands on one edge
 def test_runs_and_step_loops_are_deterministic(sc):
     trace, metrics = run(sc)
     again, metrics_again = run(sc)
@@ -343,6 +393,23 @@ def test_runs_and_step_loops_are_deterministic(sc):
     assert np.array_equal([[s.pos, s.vel, s.tilt, s.tilt_rate] for s in w.agents], last)
 
 
+def test_command_firing_table_matches_the_scan():
+    dt, n_steps = 0.005, 1800
+    times = [ON_GRID, ON_GRID - 1e-10, ON_GRID + 1e-10, ON_GRID - 1e-9, ON_GRID + 1e-9,
+             ON_GRID + 2e-9, 0.0, 1e-9, 2e-9, n_steps * dt, n_steps * dt + 1e-8, -1.0]
+    for t in times:
+        # the test a step() caller makes on World.t, step after step
+        due = [k for k in range(n_steps + 1) if k * dt >= t - 1e-9]
+        table = engine._firing_steps((Command(t, "uncouple", 3),), dt, n_steps)
+        assert table == ({due[0]: {3}} if due else {}), t
+    both = engine._firing_steps((Command(ON_GRID, "uncouple", 0),
+                                 Command(ON_GRID + 1e-10, "uncouple", 0),
+                                 Command(ON_GRID, "uncouple", 1)), dt, n_steps)
+    assert both == {RELEASE_STEP: {0, 1}}
+    _, metrics = run(released_at(ON_GRID + 1e-10))
+    assert metrics.uncoupling_events == ((0, ON_GRID),)
+
+
 def test_world_validation(monkeypatch):
     sc = make_scenario([AgentInit(0.0, 1.0, 0.0, 0.0, 20.0),
                         AgentInit(50.0, -1.0, 0.0, 0.0, 20.0)], edges=[(0, 1)])
@@ -355,6 +422,8 @@ def test_world_validation(monkeypatch):
         replace(w.const, edges=((1, 0),))
     with pytest.raises(ConfigurationError, match=r"edge \(0, 5\)"):
         replace(w.const, edges=((0, 5),))
+    with pytest.raises(ConfigurationError, match="k_pos"):
+        replace(w.const, gains=replace(w.const.gains, k_pos=0.0))
     # the world checks its state against them
     with pytest.raises(ConfigurationError, match="radius"):
         World(0, w.agents, (), replace(w.const, radii=w.const.radii[:1], edges=()))
@@ -369,6 +438,21 @@ def test_world_validation(monkeypatch):
     assert replace(w, k=w.k + 1).t == sc.dt and checks == []
     run(sc)
     assert len(checks) == 1
+
+
+def test_world_holds_an_array_from_array_agents_on(monkeypatch):
+    sc = closing_line(6, ())
+    monkeypatch.setattr(engine, "ARRAY_AGENTS", 6)
+    w = build_world(sc)
+    assert isinstance(w.agents, np.ndarray) and w.agents.shape == (6, 4) == (len(w.agents), 4)
+    assert not w.agents.flags.writeable
+    assert w.agents.tolist() == [[a.pos, a.vel, a.tilt, a.rate] for a in sc.agents]
+    w2 = step(w)
+    assert isinstance(w2.agents, np.ndarray) and not w2.agents.flags.writeable
+    monkeypatch.setattr(engine, "ARRAY_AGENTS", 7)
+    loop = step(build_world(sc))
+    assert isinstance(loop.agents, tuple)
+    assert w2.agents.tolist() == [list(s.as_tuple()) for s in loop.agents]
 
 
 def test_trace_column_lookup(chain_run):
