@@ -21,7 +21,7 @@ from .interaction import (InteractionParams, InteractionVariant, PairGeometry,
 from .modal import (Gains, PoleSpec, closed_loop_polynomial,
                     desired_polynomial, direct_gain_formula, place_gains,
                     poles_from_spec)
-from .plant import AgentState, PlantParams, derivative, rk4_stack, rk4_step
+from .plant import AgentState, PlantParams, derivative, rk4_step
 from .scenario import (AgentInit, Command, Scenario, parse_scenario,
                        parse_scenario_with, serialize_scenario)
 from .output import render_svg, write_report, write_trace
@@ -41,6 +41,6 @@ __all__ = [
     "force_attraction", "force_repulsion", "force_switching_smooth",
     "force_switching_step", "pair_force", "pair_geometry", "parse_scenario",
     "parse_scenario_with", "place_gains", "poles_from_spec", "render_svg",
-    "rms_velocity", "rk4_stack", "rk4_step", "run", "saturate",
+    "rms_velocity", "rk4_step", "run", "saturate",
     "serialize_scenario", "step", "update_pair", "write_report", "write_trace",
 ]

@@ -8,7 +8,7 @@ One step advances the whole world deterministically:
      when their spheres overlap -- collision avoidance between agents that
      are not part of the formation graph).  One cached couple table
      (_couples) lists the couples in trace-slot order.  From ARRAY_COUPLES
-     couples on (n >= 5) the range pass is one pair_geometry call on its
+     couples on (n >= 7) the range pass is one pair_geometry call on its
      arrays; below that crossover it is a Python loop over its rows.  Either
      side only finds the undeclared couples in contact, and one loop then
      applies their repulsion in (i, j) order, so each agent adds its terms
@@ -20,12 +20,9 @@ One step advances the whole world deterministically:
      signs to its two agents, so pair contributions cancel in the sum
   5. per-agent command sum clamped to the tilt saturation (a clipped sum no
      longer cancels, and the swarm's velocity sum drifts: velocity_sum_drift)
-  6. one Runge-Kutta step per agent under the held command.  Below
-     ARRAY_AGENTS agents the world holds one AgentState per agent and each
-     takes its own rk4_step; from ARRAY_AGENTS on it holds one (n, 4)
-     array, one rk4_stack call advances all agents and one np.isfinite
-     call checks them.  rk4_stack does per element what rk4_step does, so
-     both sides give bit-identical traces
+  6. one Runge-Kutta step (rk4_step) per agent under the held command; the
+     first agent whose command is not finite, or whose new state is not,
+     aborts the run
 
 A run samples the world every `stride` steps into a Trace (the velocity
 columns are the observed model output) and derives Metrics from it.
@@ -43,7 +40,7 @@ from .errors import ConfigurationError, ModelValidityWarning, NumericDomainError
 from .interaction import (InteractionParams, PairState, corrected_position,
                           force_repulsion, pair_force, pair_geometry, saturate,
                           update_pair)
-from .plant import AgentState, rk4_stack, rk4_step
+from .plant import AgentState, rk4_step
 
 TILT_LIMIT = 0.5  # rad; beyond this the small-angle model is suspect
 
@@ -83,10 +80,7 @@ class World:
     coupling state of const.edges[k].  Each step's dataclasses.replace
     copies these and the reference to const, whose checks ran once.
 
-    agents holds one state per agent: a tuple of AgentState below
-    ARRAY_AGENTS agents, and from it on a read-only (n, 4) float array whose
-    rows are in AgentState field order (pos, vel, tilt, tilt_rate).
-    build_world picks the form from the agent count.
+    agents holds one AgentState per agent.
     """
 
     k: int
@@ -112,24 +106,13 @@ class World:
 # Couples, n(n-1)/2, from which _controls evaluates the range pass as one
 # array call per step instead of a Python loop.  engine.run per step on a
 # line of n agents 100 m apart (switching_smooth, edges (0, 1), (2, 3), ...,
-# 4 s in steps of 2 ms), best of 7, Python 3.11 and numpy 2.4, 2-core x86-64
-# (BENCH_6.json):
+# 4 s in steps of 2 ms), same process, alternating, best of 7, CPU time,
+# Python 3.11 and numpy 2.4, 2-core x86-64 (BENCH_11.json):
 #   n        2     3     4     5     6     7     8
 #   couples  1     3     6     10    15    21    28
-#   loop us  9.6   12.2  16.9  20.3  26.1  30.9  37.5
-#   array us 14.5  15.7  18.6  19.8  22.8  24.1  26.9
-ARRAY_COUPLES = 10
-
-# Agents from which World.agents is one (n, 4) array and _integrate advances
-# every agent with one rk4_stack call instead of one rk4_step per agent.
-# engine.run per step on perfbench's lattice line of n agents (switching_smooth,
-# neighbours closing in pairs, sim.dt 2 ms, 4 s = 2001 steps), per-agent path
-# against the array path, same process, alternating, best of 7, CPU time,
-# Python 3.11 and numpy 2.4, 2-core x86-64 (BENCH_10.json):
-#   n         8     12    14    16    18    20    24    32    48
-#   agent us  23.9  31.6  35.6  39.3  43.2  47.2  55.3  72.2  108.5
-#   array us  34.6  38.1  39.8  41.3  42.8  44.6  48.0  56.6  76.1
-ARRAY_AGENTS = 18
+#   loop us  7.0   8.8   12.0  14.8  18.2  21.6  24.9
+#   array us 12.0  13.4  15.6  17.2  19.3  20.5  22.0
+ARRAY_COUPLES = 21
 
 
 @lru_cache(maxsize=64)
@@ -155,15 +138,7 @@ def _controls(world, active_commands):
     """
     const = world.const
     prm, radii, gains = const.params, const.radii, const.gains
-    if isinstance(world.agents, np.ndarray):
-        pos, vel, tilt, rate = world.agents.T
-        # corrected_position's expression over the columns; WorldConstants
-        # has checked k_pos != 0
-        p = (gains.k_pos * pos + gains.k_vel * vel + gains.k_tilt * tilt
-             + gains.k_rate * rate) / gains.k_pos
-        pstar = p.tolist()
-    else:
-        pstar = p = [corrected_position(s, gains) for s in world.agents]
+    pstar = [corrected_position(s, gains) for s in world.agents]
     us = [0.0] * len(pstar)
     edge_d = []
     new_pairs = []
@@ -186,7 +161,7 @@ def _controls(world, active_commands):
                 contacts.append((i, j))
             range_d.append(geom.d)
     else:
-        p = np.asarray(p)
+        p = np.asarray(pstar)
         geom = pair_geometry(p[ci], p[cj], r_i, r_j, prm.d_t)
         hit = np.flatnonzero(undeclared & (np.abs(geom.d) < geom.r_sum))
         contacts = zip(ci[hit].tolist(), cj[hit].tolist())
@@ -202,23 +177,15 @@ def _controls(world, active_commands):
 
 def _integrate(world, us):
     """Stage 6 of a step: advance every agent under its held command.
-    Raises SimulationAbort with the first agent whose new state is not
-    finite."""
+    Raises SimulationAbort with the first agent whose command the plant
+    rejects as not finite, or whose new state is not finite."""
     dt, plant = world.const.dt, world.const.plant
-    if isinstance(world.agents, np.ndarray):
-        x = rk4_stack(world.agents.T, us, dt, plant)
-        finite = np.isfinite(x)
-        if not finite.all():
-            # a non-finite input gives a non-finite column, so the first bad
-            # column is the agent the per-agent loop stops at; rk4_step on
-            # it raises or returns what that loop raises or aborts with
-            idx = int(finite.all(axis=0).argmin())
-            bad = rk4_step(AgentState(*world.agents[idx].tolist()), us[idx], dt, plant)
-            raise SimulationAbort((world.k + 1) * dt, idx, bad)
-        return replace(world, k=world.k + 1, agents=_stacked(x))
     new_agents = []
     for idx, (s, u) in enumerate(zip(world.agents, us)):
-        s2 = rk4_step(s, u, dt, plant)
+        try:
+            s2 = rk4_step(s, u, dt, plant)
+        except NumericDomainError:
+            raise SimulationAbort(world.t, idx, s, f"non-finite plant input u={u}") from None
         if not (math.isfinite(s2.pos) and math.isfinite(s2.vel)
                 and math.isfinite(s2.tilt) and math.isfinite(s2.tilt_rate)):
             raise SimulationAbort((world.k + 1) * dt, idx, s2)
@@ -226,17 +193,10 @@ def _integrate(world, us):
     return replace(world, k=world.k + 1, agents=tuple(new_agents))
 
 
-def _stacked(x):
-    """World.agents from a (4, n) stack of state rows: its read-only
-    (n, 4) transpose, one row per agent."""
-    x.flags.writeable = False
-    return x.T
-
-
 # Python floats overflow to inf and turn invalid operations into nan without a
 # warning, and numpy warns.  step() and run() silence numpy here, so the array
-# paths behave as the per-agent path does: _integrate's finiteness check
-# reports the agent.
+# range pass behaves as the loop does: _integrate reports the agent whose
+# command or new state is not finite.
 _FLOAT_SEMANTICS = {"over": "ignore", "invalid": "ignore"}
 
 
@@ -330,11 +290,7 @@ def build_world(scenario):
                                scenario.variant, gains.k1)
     const = WorldConstants(tuple(a.radius for a in scenario.agents), scenario.edges,
                            gains, scenario.plant, params, scenario.dt)
-    states = [(a.pos, a.vel, a.tilt, a.rate) for a in scenario.agents]
-    if len(states) >= ARRAY_AGENTS:
-        agents = _stacked(np.array(states, dtype=float).T)
-    else:
-        agents = tuple(AgentState(*s) for s in states)
+    agents = tuple(AgentState(a.pos, a.vel, a.tilt, a.rate) for a in scenario.agents)
     return World(0, agents, (PairState(),) * len(scenario.edges), const)
 
 
@@ -355,7 +311,6 @@ def run(scenario):
     n_cols = 2 + len(Trace.AGENT_FIELDS) * len(radii) + len(Trace.SLOT_FIELDS) * len(slots)
 
     firing = _firing_steps(scenario.commands, dt, n_steps)
-    stacked = isinstance(world.agents, np.ndarray)
     samples = array("d")  # the sampled rows, one after another
     coupling_events = []
     uncoupling_events = []
@@ -370,14 +325,11 @@ def run(scenario):
         world = replace(world, pairs=pairs)
 
         if k % stride == 0:
-            if stacked:
-                row = [t_k, *np.vstack((world.agents.T, us)).T.ravel().tolist()]
-                vel = world.agents[:, 1].tolist()
-            else:
-                row = [t_k]
-                for s, u in zip(world.agents, us):
-                    row += (s.pos, s.vel, s.tilt, s.tilt_rate, u)
-                vel = [s.vel for s in world.agents]
+            row = [t_k]
+            for s, u in zip(world.agents, us):
+                row += s
+                row.append(u)
+            vel = [s.vel for s in world.agents]
             for d, p in zip(edge_d, pairs):
                 row += (d, p.f_en)
             # monitored couples carry no coupling state: their indicator is 0
@@ -386,9 +338,7 @@ def run(scenario):
             row.append(rms_velocity(vel))
             samples.extend(row)
 
-        if not tilt_warned and (
-                np.abs(world.agents[:, 2]).max() > TILT_LIMIT if stacked
-                else any(abs(s.tilt) > TILT_LIMIT for s in world.agents)):
+        if not tilt_warned and any(abs(s.tilt) > TILT_LIMIT for s in world.agents):
             tilt_warned = True
             warnings.warn(
                 f"tilt exceeded {TILT_LIMIT} rad at t={t_k:.3f} s; "

@@ -26,8 +26,11 @@ class ScenarioError(SwarmformError, ValueError):
 
 
 class SimulationAbort(SwarmformError, RuntimeError):
-    """The integrator produced a non-finite state.  Carries a diagnostics
-    payload: time, agent index and the offending state."""
+    """A run cannot go on: the plant rejected a non-finite command (t is
+    the time of the step that computed it, state the agent's state
+    before it), or the integrator produced a non-finite state (t is the
+    time of that state).  Carries a diagnostics payload: time, agent index
+    and state."""
 
     def __init__(self, t, agent, state, message="non-finite state"):
         self.t = t

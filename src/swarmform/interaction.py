@@ -29,6 +29,7 @@ recaptured before it escapes.
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigurationError
 
@@ -77,8 +78,7 @@ class InteractionParams:
             raise ConfigurationError(f"unknown interaction variant {self.variant!r}")
 
 
-@dataclass(frozen=True)
-class PairGeometry:
+class PairGeometry(NamedTuple):
     """Signed geometry of one agent pair in corrected coordinates.
 
     d     : corrected separation, neighbour minus self (m)
@@ -87,6 +87,8 @@ class PairGeometry:
             on the positive side)
     r_sum : summed interaction radii (m)
     b     : tent midpoint (d_t + r_sum) / 2 (m)
+
+    A named tuple, because every step builds one per edge and couple.
     """
 
     d: float
@@ -96,15 +98,15 @@ class PairGeometry:
     b: float
 
 
-@dataclass(frozen=True)
-class PairState:
+class PairState(NamedTuple):
     """Coupling state machine of one pair.
 
     f_en high selects the holding spring; uncouple_pending latches an
     operator command until the separation next visits the switching
     neighbourhood.  last_abs_d remembers the previously observed |d| so the
     couple trigger can detect entry into the neighbourhood from above.
-    Transition times are recorded by engine.run, not here.
+    Transition times are recorded by engine.run, not here.  A named tuple,
+    because every step builds one per edge.
     """
 
     f_en: int = 0

@@ -13,12 +13,15 @@ state-space form, with x = (pos, vel, tilt, tilt_rate):
 
 The observed output is the velocity component (picked straight out of the
 trace downstream; no separate output map is materialised).
+
+Every agent is integrated on its own: rk4_step advances one AgentState by
+one classical Runge-Kutta step under a held command, and the engine calls
+it once per agent and step.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .errors import ConfigurationError, NumericDomainError
 
@@ -43,18 +46,15 @@ class PlantParams:
                 raise ConfigurationError(f"plant parameter {name} must be finite and > 0, got {v}")
 
 
-@dataclass(frozen=True)
-class AgentState:
+class AgentState(NamedTuple):
     """State of one agent: position (m), velocity (m/s), tilt from vertical
-    (rad) and tilt rate (rad/s)."""
+    (rad) and tilt rate (rad/s).  A named tuple, because every step builds
+    one per agent."""
 
     pos: float
     vel: float
     tilt: float
     tilt_rate: float
-
-    def as_tuple(self):
-        return (self.pos, self.vel, self.tilt, self.tilt_rate)
 
 
 def derivative(state, u, plant):
@@ -64,7 +64,7 @@ def derivative(state, u, plant):
     non-finite inputs, which would otherwise propagate silently through the
     integrator.
     """
-    p, v, tilt, rate = state.pos, state.vel, state.tilt, state.tilt_rate
+    p, v, tilt, rate = state
     if not (math.isfinite(p) and math.isfinite(v) and math.isfinite(tilt)
             and math.isfinite(rate) and math.isfinite(u)):
         raise NumericDomainError(f"non-finite plant input: state={state}, u={u}")
@@ -86,7 +86,7 @@ def rk4_step(state, u_held, dt, plant):
     kpkd = plant.k_p * plant.k_d
     kd = plant.k_d
     g = plant.g
-    p, v, tilt, rate = state.pos, state.vel, state.tilt, state.tilt_rate
+    p, v, tilt, rate = state
     if not (math.isfinite(p) and math.isfinite(v) and math.isfinite(tilt)
             and math.isfinite(rate) and math.isfinite(u_held)):
         raise NumericDomainError(f"non-finite plant input: state={state}, u={u_held}")
@@ -122,36 +122,3 @@ def rk4_step(state, u_held, dt, plant):
         tilt + s * (c1 + 2.0 * (c2 + c3) + c4),
         rate + s * (d1 + 2.0 * (d2 + d3) + d4),
     )
-
-
-def rk4_stack(x, u, dt, plant):
-    """rk4_step for n agents at once: x is a (4, n) array of state rows
-    (pos, vel, tilt, tilt_rate) and u the n held commands.
-
-    Each stage derivative f(y) is taken of a whole stacked stage state y.
-    Per element this is rk4_step's own sequence of operations (numpy rounds
-    each add and multiply as Python floats do and fuses none), so column i
-    of the result is bit-identical to rk4_step on agent i.  Unlike
-    rk4_step it checks nothing: the caller validates dt once and the
-    finiteness of the result.  Where rk4_step silently overflows to inf,
-    numpy warns unless the caller silences it (engine.run and engine.step
-    do).
-    """
-    kpkd = plant.k_p * plant.k_d
-    kd = plant.k_d
-    g = plant.g
-    force = kpkd * np.asarray(u, dtype=float)
-
-    def f(y):
-        k = np.empty_like(y)
-        k[0::2] = y[1::2]  # d_pos = vel, d_tilt = tilt_rate
-        k[1] = g * y[2]
-        k[3] = force - kpkd * y[2] - kd * y[3]
-        return k
-
-    h2 = 0.5 * dt
-    k1 = f(x)
-    k2 = f(x + h2 * k1)
-    k3 = f(x + h2 * k2)
-    k4 = f(x + dt * k3)
-    return x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)

@@ -316,7 +316,7 @@ def test_criterion_9_numerics_and_determinism():
         s = AgentState(0.0, 0.0, 0.1, 0.0)
         for _ in range(int(round(horizon / dt))):
             s = rk4_step(s, 0.05, dt, PLANT)
-        return np.array(s.as_tuple())
+        return np.array(s)
 
     ref = propagate(1e-6)
     e1 = float(np.max(np.abs(propagate(2e-3) - ref)))

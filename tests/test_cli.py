@@ -228,6 +228,30 @@ def test_run_divergent_scenario_exits_3(tmp_path, capsys):
     assert "abort" in capsys.readouterr().err
 
 
+def non_finite_command_text():
+    """two_agent_repulsion with both agents at pos = vel = 1.7e308: the
+    corrected positions overflow, so the first command is nan."""
+    text = (SCENARIOS / "two_agent_repulsion.cfg").read_text()
+    for old, new in (("sim.t_end = 40.0", "sim.t_end = 0.5"),
+                     ("command[0].t = 29.0", "command[0].t = 0.4"),
+                     ("agent[0].pos = 50.0", "agent[0].pos = 1.7e308"),
+                     ("agent[0].vel = -1.5", "agent[0].vel = 1.7e308"),
+                     ("agent[1].pos = 0.0", "agent[1].pos = 1.7e308"),
+                     ("agent[1].vel = 3.0", "agent[1].vel = 1.7e308")):
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+def test_run_non_finite_command_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(non_finite_command_text())
+    rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "simulation aborted: non-finite plant input u=nan at t=0.000000 s (agent 0)")
+
+
 # --- compare --------------------------------------------------------------------
 
 def test_compare_identical_variants_ratio_one(short_file, capsys):
@@ -313,6 +337,19 @@ def test_sweep_invalid_values_reported_per_row(tmp_path, capsys):
     rows = _rows(out)
     assert rows[0][1] == "ok"
     assert rows[1][1].startswith("error:") and rows[2][1].startswith("error:")
+
+
+def test_sweep_reports_a_non_finite_command_as_an_abort_row(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(non_finite_command_text())
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", str(cfg), "--param", "agent[1].pos",
+               "--from", "0", "--to", "1.7e308", "--steps", "2", "--out", str(out)])
+    assert rc == 0
+    rows = _rows(out.read_text())
+    assert [r[0] for r in rows] == ["0", "1.7e+308"]
+    assert all(r[1].startswith("abort:") for r in rows)
+    assert "non-finite plant input u=nan at t=0.000000 s (agent 0)" in rows[1][1]
 
 
 def test_sweep_rejects_unsweepable_parameter(capsys):

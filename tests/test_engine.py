@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from swarmform import (AgentState, ConfigurationError, InteractionVariant,
                        ModelValidityWarning, NumericDomainError, PairState,
@@ -132,8 +132,8 @@ def packed_cluster(n):
 # digest: sha256 of the recorded trace.data.tobytes().  Both sides of the range
 # pass share one contact loop, so their equality cannot show a change in an
 # agent's summation order (edges by index, then undeclared contacts by
-# (i, j)); the recorded trace does.  Each case runs on all four combinations
-# of the two crossovers: range loop or array pass, per-agent or array state.
+# (i, j)); the recorded trace does.  Each case runs on both sides of the
+# crossover: range loop, then array pass.
 @pytest.mark.parametrize("sc, digest", [
     (closing_line(4, (1,)), "bd6c10c563aea4613128dab2c9ea793ffaffc9e55f63f8a393f99c0ece2f8dc5"),
     (closing_line(5, (1,)), "c823f5748de386f786e80d5077e5afd8cb27143abd4019ffc29e02d1acef3e20"),
@@ -143,17 +143,13 @@ def packed_cluster(n):
     ids=["line4", "line5", "line6", "lattice24", "cluster6"])
 def test_array_range_pass_is_bit_identical_to_the_loop(monkeypatch, sc, digest):
     results = []
-    for agents in (10 ** 9, 0):  # AgentState per agent, then one (n, 4) array
-        monkeypatch.setattr(engine, "ARRAY_AGENTS", agents)
-        for couples in (10 ** 9, 0):  # the scalar loop, then the array pass
-            monkeypatch.setattr(engine, "ARRAY_COUPLES", couples)
-            assert isinstance(build_world(sc).agents, np.ndarray) == (agents == 0)
-            results.append(run(sc))
-    (t_loop, m_loop), *others = results
-    for t_arr, m_arr in others:
-        assert np.array_equal(t_loop.data, t_arr.data)
-        assert m_loop == m_arr
-        assert hashlib.sha256(t_arr.data.tobytes()).hexdigest() == digest
+    for couples in (10 ** 9, 0):  # the scalar loop, then the array pass
+        monkeypatch.setattr(engine, "ARRAY_COUPLES", couples)
+        results.append(run(sc))
+    (t_loop, m_loop), (t_arr, m_arr) = results
+    assert np.array_equal(t_loop.data, t_arr.data)
+    assert m_loop == m_arr
+    assert hashlib.sha256(t_arr.data.tobytes()).hexdigest() == digest
     # the run exercises what the array pass must reproduce
     undeclared = [k for k, (kind, i, j) in enumerate(t_arr.slots)
                   if kind == "range" and (i, j) not in sc.edges]
@@ -168,7 +164,7 @@ def test_lattice_trace_csv_is_pinned():
         "55fc4ffac2b25eaaadb7bb5e0636f0a3837ae5c9920ab40861ad5e938aac7495")
 
 
-def test_run_aborts_on_divergence(monkeypatch):
+def test_run_aborts_on_divergence():
     # dt far beyond the RK4 stability limit of the fast poles; in the trio,
     # only agent 1 leaves its rest state (agent 2 rests at 1e6 m)
     sc = make_scenario([AgentInit(0.0, 0.0, 0.3, 0.0, 20.0)],
@@ -178,32 +174,30 @@ def test_run_aborts_on_divergence(monkeypatch):
                           AgentInit(1e6, 0.0, 0.0, 0.0, 20.0)],
                          dt=1.0, t_end=2000.0, stride=100)
     for scenario, agent in ((sc, 0), (trio, 1)):
-        aborts = []
-        for threshold in (10 ** 9, 0):  # per-agent rk4_step, then one rk4_stack
-            monkeypatch.setattr(engine, "ARRAY_AGENTS", threshold)
-            with pytest.warns(ModelValidityWarning):
-                with pytest.raises(SimulationAbort) as err:
-                    run(scenario)
-            aborts.append(err.value)
-        loop, stacked = aborts
-        assert loop.agent == stacked.agent == agent
-        assert loop.t == stacked.t > 0
-        assert str(loop) == str(stacked)
+        with pytest.warns(ModelValidityWarning):
+            with pytest.raises(SimulationAbort) as err:
+                run(scenario)
+        assert err.value.agent == agent and err.value.t == 96.0
+        assert str(err.value) == (
+            f"non-finite state at t=96.000000 s (agent {agent}): AgentState("
+            "pos=-1.5087756318877146e+307, vel=nan, tilt=nan, tilt_rate=nan)")
 
 
-@pytest.mark.parametrize("n", [2, 5])  # 5 agents: the array range pass as well
+@pytest.mark.parametrize("n", [2, 5])
 def test_non_finite_command_raises_the_same_error_on_both_sides(monkeypatch, n):
     # corrected positions overflow to inf, so the edge separation is nan and
-    # so is agent 0's command: rk4_step rejects it before any state diverges,
-    # and numpy warns nowhere on the way
+    # so is agent 0's command: the plant rejects it before any state
+    # diverges, the run aborts naming the agent and the time, and numpy warns
+    # nowhere on the way, on either side of the range-pass crossover
     sc = make_scenario([AgentInit(1.7e308, 1.7e308, 0.0, 0.0, 20.0)] * n, edges=[(0, 1)])
-    messages = []
-    for threshold in (10 ** 9, 0):
-        monkeypatch.setattr(engine, "ARRAY_AGENTS", threshold)
-        with pytest.raises(NumericDomainError, match="non-finite plant input") as err:
+    for couples in (10 ** 9, 0):  # the scalar loop, then the array pass
+        monkeypatch.setattr(engine, "ARRAY_COUPLES", couples)
+        with pytest.raises(SimulationAbort) as err:
             run(sc)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
+        assert err.value.agent == 0 and err.value.t == 0.0
+        assert str(err.value) == (
+            "non-finite plant input u=nan at t=0.000000 s (agent 0): "
+            "AgentState(pos=1.7e+308, vel=1.7e+308, tilt=0.0, tilt_rate=0.0)")
 
 
 def test_tilt_warning_on_large_tilt():
@@ -334,22 +328,34 @@ def test_run_with_explicit_gains():
 
 @st.composite
 def small_swarms(draw):
-    """1-6 agents within reach of each other, random edges and uncouple
-    commands: 0-15 couples, so both sides of ARRAY_COUPLES are drawn."""
-    n = draw(st.integers(1, 6))
+    """1-7 agents within reach of each other, random edges and uncouple
+    commands: 0-21 couples, so both sides of ARRAY_COUPLES are drawn.
+
+    Each edge may get a command shortly after its pair, flying freely,
+    would reach the coupling distance, and the switching neighbourhood is
+    0.5-3 m wide, so that a pair that couples is often still in it when
+    the command fires and releases there."""
+    n = draw(st.integers(1, 7))
     # neighbours close on each other, some from just beyond the coupling distance
     gaps = [0.0] + [draw(st.floats(30.5, 36.0) | st.floats(10.0, 45.0)) for _ in range(n - 1)]
     agents = [AgentInit(sum(gaps[:i + 1]), (-1) ** i * draw(st.floats(0.0, 8.0)), 0.0, 0.0,
                         draw(st.floats(16.0, 30.0))) for i in range(n)]
     couples = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(couples), unique=True)) if couples else []
-    t_end = draw(st.floats(0.05, 1.0))
-    commands = [Command(draw(st.floats(0.0, t_end)), "uncouple",
-                        draw(st.integers(0, len(edges) - 1)))
-                for _ in range(draw(st.integers(0, 2 if edges else 0)))]
+    closing = [(i, i + 1) for i in range(0, n - 1, 2)]
+    edges = draw(st.lists(st.sampled_from(closing) | st.sampled_from(couples),
+                          min_size=1, unique=True)) if couples else []
+    t_end = draw(st.floats(0.3, 1.5))
+    commands = []
+    for e, (a, b) in enumerate(edges):
+        if draw(st.booleans()):
+            speed = agents[a].vel - agents[b].vel
+            reach = max(agents[b].pos - agents[a].pos - 30.0, 0.0) / speed if speed > 0 else 0.0
+            commands.append(Command(min(reach + draw(st.floats(0.0, 0.2)), t_end), "uncouple", e))
     return make_scenario(agents, edges, commands,
-                         variant=draw(st.sampled_from(InteractionVariant)),
-                         dt=0.005, t_end=t_end, stride=draw(st.integers(1, 7)))
+                         # the switching variants first: they are drawn more often
+                         variant=draw(st.sampled_from(list(InteractionVariant)[::-1])),
+                         dt=0.005, t_end=t_end, stride=draw(st.integers(1, 7)),
+                         eps=draw(st.floats(0.5, 3.0)))
 
 
 def released_at(*times):
@@ -391,6 +397,14 @@ def test_runs_and_step_loops_are_deterministic(sc):
     assert w.k == last_k and w.t == trace.data[-1, 0]
     last = np.stack([trace.block(f)[-1] for f in ("pos", "vel", "tilt", "rate")], axis=1)
     assert np.array_equal([[s.pos, s.vel, s.tilt, s.tilt_rate] for s in w.agents], last)
+
+
+def test_small_swarms_draw_a_release():
+    # the property above reaches uncoupling through drawn swarms, not only
+    # through its fixed examples
+    sc = find(small_swarms(), lambda sc: run(sc)[1].uncoupling_events,
+              settings=settings(derandomize=True, database=None, phases=[Phase.generate]))
+    assert run(sc)[1].coupling_events
 
 
 def test_command_firing_table_matches_the_scan():
@@ -438,21 +452,6 @@ def test_world_validation(monkeypatch):
     assert replace(w, k=w.k + 1).t == sc.dt and checks == []
     run(sc)
     assert len(checks) == 1
-
-
-def test_world_holds_an_array_from_array_agents_on(monkeypatch):
-    sc = closing_line(6, ())
-    monkeypatch.setattr(engine, "ARRAY_AGENTS", 6)
-    w = build_world(sc)
-    assert isinstance(w.agents, np.ndarray) and w.agents.shape == (6, 4) == (len(w.agents), 4)
-    assert not w.agents.flags.writeable
-    assert w.agents.tolist() == [[a.pos, a.vel, a.tilt, a.rate] for a in sc.agents]
-    w2 = step(w)
-    assert isinstance(w2.agents, np.ndarray) and not w2.agents.flags.writeable
-    monkeypatch.setattr(engine, "ARRAY_AGENTS", 7)
-    loop = step(build_world(sc))
-    assert isinstance(loop.agents, tuple)
-    assert w2.agents.tolist() == [list(s.as_tuple()) for s in loop.agents]
 
 
 def test_trace_column_lookup(chain_run):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swarmform import (AgentState, ConfigurationError, NumericDomainError,
-                       PlantParams, derivative, rk4_stack, rk4_step)
+                       PlantParams, derivative, rk4_step)
 
 PLANT = PlantParams(6.0, 25.0, 9.8)
 
@@ -44,7 +44,7 @@ def test_derivative_linearity():
         s2 = AgentState(*rng.normal(size=4))
         u1, u2 = rng.normal(size=2)
         a, b = rng.normal(size=2)
-        mix = AgentState(*(a * x + b * y for x, y in zip(s1.as_tuple(), s2.as_tuple())))
+        mix = AgentState(*(a * x + b * y for x, y in zip(s1, s2)))
         d_mix = derivative(mix, a * u1 + b * u2, PLANT)
         d1 = derivative(s1, u1, PLANT)
         d2 = derivative(s2, u2, PLANT)
@@ -55,7 +55,7 @@ def test_derivative_linearity():
 def test_rk4_matches_generic_rk4_of_derivative():
     # the inlined stages must be the classical scheme applied to derivative()
     def generic(state, u, dt):
-        y = np.array(state.as_tuple())
+        y = np.array(state)
 
         def f(v):
             return np.array(derivative(AgentState(*v), u, PLANT))
@@ -72,7 +72,7 @@ def test_rk4_matches_generic_rk4_of_derivative():
         u = float(rng.normal())
         got = rk4_step(s, u, 0.01, PLANT)
         want = generic(s, u, 0.01)
-        assert np.allclose(got.as_tuple(), want, rtol=1e-14, atol=1e-14)
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 def test_rk4_equilibrium_fixed_point():
@@ -97,21 +97,6 @@ def test_rk4_free_flight_position_linear_in_time():
     assert s.pos == pytest.approx(1.0 - 2.5 * 2.0, rel=1e-12)
 
 
-def test_rk4_stack_equals_rk4_step_bit_for_bit():
-    # 64 agents over 200 steps, states spread over nine orders of magnitude,
-    # a fresh random held command per agent and step, and two step sizes
-    rng = np.random.default_rng(11)
-    for dt in (0.002, 0.0137):
-        x = rng.normal(size=(4, 64)) * 10.0 ** rng.integers(-4, 5, size=(4, 64))
-        states = [AgentState(*col) for col in x.T.tolist()]
-        for _ in range(200):
-            u = rng.normal(size=64) * 0.05
-            x = rk4_stack(x, u, dt, PLANT)
-            states = [rk4_step(s, ui, dt, PLANT) for s, ui in zip(states, u.tolist())]
-            assert np.array_equal(x, np.array([s.as_tuple() for s in states]).T)
-    assert rk4_stack(np.zeros((4, 3)), [0.0] * 3, 0.123, PLANT).tolist() == [[0.0] * 3] * 4
-
-
 def test_rk4_rejects_bad_dt():
     with pytest.raises(ConfigurationError):
         rk4_step(AgentState(0, 0, 0, 0), 0.0, 0.0, PLANT)
@@ -123,7 +108,7 @@ def _propagate(dt, horizon=0.1):
     s = AgentState(0.0, 0.0, 0.1, 0.0)
     for _ in range(int(round(horizon / dt))):
         s = rk4_step(s, 0.05, dt, PLANT)
-    return np.array(s.as_tuple())
+    return np.array(s)
 
 
 def test_rk4_fourth_order_convergence():
