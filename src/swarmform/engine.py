@@ -24,15 +24,23 @@ One step advances the whole world deterministically:
      first agent whose command is not finite, or whose new state is not,
      aborts the run
 
+The state after k steps is a World, an immutable named tuple that a step
+rebuilds twice through replace: once with the new pair states, once with
+the new agents.  Each rebuild checks that the state matches the world's
+constant parts.
+
 A run samples the world every `stride` steps into a Trace (the velocity
-columns are the observed model output) and derives Metrics from it.
+columns are the observed model output) and derives Metrics from it.  It
+warns once, at the first state (the initial one included) whose tilt
+exceeds TILT_LIMIT; step() never warns.
 """
 
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,27 +80,42 @@ class WorldConstants:
                     f"edge ({a}, {b}) must reference distinct agents as a < b, n={n}")
 
 
-@dataclass(frozen=True)
-class World:
-    """Complete simulation state after k steps of const.dt.
-
-    Only k, agents and pairs change from step to step; pairs[k] is the
-    coupling state of const.edges[k].  Each step's dataclasses.replace
-    copies these and the reference to const, whose checks ran once.
-
-    agents holds one AgentState per agent.
-    """
-
+# World's fields.  typing.NamedTuple rejects __new__ and _make in the class
+# body, so World adds its checks in a subclass.
+class _WorldFields(NamedTuple):
     k: int
     agents: tuple
     pairs: tuple
     const: WorldConstants
 
-    def __post_init__(self):
-        if len(self.const.radii) != len(self.agents):
+
+class World(_WorldFields):
+    """Complete simulation state after k steps of const.dt.
+
+    Only k, agents and pairs change from step to step; pairs[k] is the
+    coupling state of const.edges[k], and agents holds one AgentState per
+    agent.  A named tuple, because every step rebuilds it twice: a rebuild
+    copies these and the reference to const, whose checks ran once, and
+    checks only that agents and pairs match const.  Rebuild a World with
+    world._replace(...) (or engine.replace); dataclasses.replace does not
+    apply to it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k, agents, pairs, const):
+        return cls._make((k, agents, pairs, const))
+
+    @classmethod
+    def _make(cls, fields):
+        # every World is built here: World(...), pickle and copy through
+        # __new__, and _replace directly
+        world = tuple.__new__(cls, fields)
+        if len(world.const.radii) != len(world.agents):
             raise ConfigurationError("one interaction radius per agent required")
-        if len(self.pairs) != len(self.const.edges):
+        if len(world.pairs) != len(world.const.edges):
             raise ConfigurationError("one coupling state per declared edge required")
+        return world
 
     @property
     def edges(self):
@@ -101,6 +124,11 @@ class World:
     @property
     def t(self):
         return self.k * self.const.dt
+
+
+# The one function that rebuilds a World.  perfbench's tracer wraps this
+# module attribute and counts its calls as engine.world_rebuilds.
+replace = World._replace
 
 
 # Couples, n(n-1)/2, from which _controls evaluates the range pass as one
@@ -177,10 +205,12 @@ def _controls(world, active_commands):
 
 def _integrate(world, us):
     """Stage 6 of a step: advance every agent under its held command.
+    Returns (the new world, whether a new tilt exceeds TILT_LIMIT).
     Raises SimulationAbort with the first agent whose command the plant
     rejects as not finite, or whose new state is not finite."""
     dt, plant = world.const.dt, world.const.plant
     new_agents = []
+    tilted = False
     for idx, (s, u) in enumerate(zip(world.agents, us)):
         try:
             s2 = rk4_step(s, u, dt, plant)
@@ -189,8 +219,9 @@ def _integrate(world, us):
         if not (math.isfinite(s2.pos) and math.isfinite(s2.vel)
                 and math.isfinite(s2.tilt) and math.isfinite(s2.tilt_rate)):
             raise SimulationAbort((world.k + 1) * dt, idx, s2)
+        tilted = tilted or abs(s2.tilt) > TILT_LIMIT
         new_agents.append(s2)
-    return replace(world, k=world.k + 1, agents=tuple(new_agents))
+    return replace(world, k=world.k + 1, agents=tuple(new_agents)), tilted
 
 
 # Python floats overflow to inf and turn invalid operations into nan without a
@@ -205,7 +236,7 @@ def step(world, active_commands=frozenset()):
     """Advance the world by one step.  `active_commands` holds the indices
     of edges whose uncouple command latches at this instant."""
     us, pairs, _, _ = _controls(world, active_commands)
-    return _integrate(replace(world, pairs=pairs), us)
+    return _integrate(replace(world, pairs=pairs), us)[0]
 
 
 @dataclass(frozen=True)
@@ -315,9 +346,15 @@ def run(scenario):
     coupling_events = []
     uncoupling_events = []
     tilt_warned = False
+    tilted = any(abs(s.tilt) > TILT_LIMIT for s in world.agents)  # the initial state
 
     for k in range(n_steps + 1):
         t_k = world.t
+        if tilted and not tilt_warned:  # the state at t_k is the first past the limit
+            tilt_warned = True
+            warnings.warn(
+                f"tilt exceeded {TILT_LIMIT} rad at t={t_k:.3f} s; "
+                "small-angle model validity is doubtful", ModelValidityWarning)
         us, pairs, edge_d, range_d = _controls(world, firing.get(k, ()))
         for e, (old, new) in enumerate(zip(world.pairs, pairs)):
             if new.f_en != old.f_en:
@@ -338,14 +375,8 @@ def run(scenario):
             row.append(rms_velocity(vel))
             samples.extend(row)
 
-        if not tilt_warned and any(abs(s.tilt) > TILT_LIMIT for s in world.agents):
-            tilt_warned = True
-            warnings.warn(
-                f"tilt exceeded {TILT_LIMIT} rad at t={t_k:.3f} s; "
-                "small-angle model validity is doubtful", ModelValidityWarning)
-
         if k < n_steps:
-            world = _integrate(world, us)
+            world, tilted = _integrate(world, us)
 
     trace = Trace(np.frombuffer(samples).reshape(-1, n_cols), dt, stride,
                   len(world.agents), slots, slot_rsums)

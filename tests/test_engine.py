@@ -1,7 +1,10 @@
 """Engine: step ordering, conservation, events, metrics and determinism."""
 
+import copy
 import hashlib
+import pickle
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -174,9 +177,13 @@ def test_run_aborts_on_divergence():
                           AgentInit(1e6, 0.0, 0.0, 0.0, 20.0)],
                          dt=1.0, t_end=2000.0, stride=100)
     for scenario, agent in ((sc, 0), (trio, 1)):
-        with pytest.warns(ModelValidityWarning):
+        with pytest.warns(ModelValidityWarning) as record:
             with pytest.raises(SimulationAbort) as err:
                 run(scenario)
+        # one warning, for the first state past the limit (the step after
+        # the initial 0.3 rad), and none for the state that aborts
+        assert [str(w.message) for w in record] == [
+            "tilt exceeded 0.5 rad at t=1.000 s; small-angle model validity is doubtful"]
         assert err.value.agent == agent and err.value.t == 96.0
         assert str(err.value) == (
             f"non-finite state at t=96.000000 s (agent {agent}): AgentState("
@@ -202,8 +209,18 @@ def test_non_finite_command_raises_the_same_error_on_both_sides(monkeypatch, n):
 
 def test_tilt_warning_on_large_tilt():
     sc = make_scenario([AgentInit(0.0, 0.0, 0.6, 0.0, 20.0)], t_end=0.05)
-    with pytest.warns(ModelValidityWarning):
+    # the initial state is past the limit: one warning at t = 0
+    with pytest.warns(ModelValidityWarning) as record:
         run(sc)
+    assert [str(w.message) for w in record] == [
+        "tilt exceeded 0.5 rad at t=0.000 s; small-angle model validity is doubtful"]
+    # step() never warns
+    w = build_world(sc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(50):
+            w = step(w)
+    assert abs(w.agents[0].tilt) > engine.TILT_LIMIT
 
 
 def test_default_runs_conserve_velocity_sum(default_run):
@@ -441,15 +458,26 @@ def test_world_validation(monkeypatch):
     # the world checks its state against them
     with pytest.raises(ConfigurationError, match="radius"):
         World(0, w.agents, (), replace(w.const, radii=w.const.radii[:1], edges=()))
+    # and so does every rebuild
     with pytest.raises(ConfigurationError, match="coupling state"):
-        replace(w, pairs=())
+        engine.replace(w, pairs=())
+    with pytest.raises(ConfigurationError, match="radius"):
+        engine.replace(w, agents=w.agents[:1])
+    # copy and pickle rebuild through World.__new__, so through the checks
+    assert copy.copy(w) == pickle.loads(pickle.dumps(w)) == w
+    assert type(pickle.loads(pickle.dumps(w))) is World
+    unchecked = tuple.__new__(World, (0, w.agents, (), w.const))
+    with pytest.raises(ConfigurationError, match="coupling state"):
+        pickle.loads(pickle.dumps(unchecked))
+    with pytest.raises(ConfigurationError, match="coupling state"):
+        copy.copy(unchecked)
 
     # a per-step rebuild does not check the fixed parts again
     checks = []
     check = WorldConstants.__post_init__
     monkeypatch.setattr(WorldConstants, "__post_init__",
                         lambda self: checks.append(self) or check(self))
-    assert replace(w, k=w.k + 1).t == sc.dt and checks == []
+    assert engine.replace(w, k=w.k + 1).t == sc.dt and checks == []
     run(sc)
     assert len(checks) == 1
 
