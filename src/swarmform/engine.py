@@ -2,18 +2,20 @@
 
 One step advances the whole world deterministically:
 
-  1. corrected position of every agent
+  1. corrected position of every agent, in one corrected_positions call
+     (unchecked: WorldConstants has rejected k_pos = 0)
   2. pair geometry of every declared edge, plus every agent couple i < j
      (the range pass; the undeclared couples interact by plain repulsion
      when their spheres overlap -- collision avoidance between agents that
-     are not part of the formation graph).  One cached couple table
-     (_couples) lists the couples in trace-slot order.  From ARRAY_COUPLES
-     couples on (n >= 7) the range pass is one pair_geometry call on its
-     arrays; below that crossover it is a Python loop over its rows.  Either
-     side only finds the undeclared couples in contact, and one loop then
-     applies their repulsion in (i, j) order, so each agent adds its terms
-     in the same order (edges by index, then contacts by (i, j)) and both
-     sides give bit-identical commands
+     are not part of the formation graph).  One couple table, built once
+     per WorldConstants (WorldConstants.couples), lists the couples in
+     trace-slot order.  From ARRAY_COUPLES couples on (n >= 8) the range
+     pass is one pair_geometry call on its arrays; below that crossover it
+     is a Python loop over its rows.  Either side only finds the undeclared
+     couples in contact, and one loop then applies their repulsion in
+     (i, j) order, so each agent adds its terms in the same order (edges by
+     index, then contacts by (i, j)) and both sides give bit-identical
+     commands
   3. coupling state machine of every declared edge, with any uncouple
      commands that latched this step
   4. force of each unordered pair evaluated once and applied with opposite
@@ -25,9 +27,10 @@ One step advances the whole world deterministically:
      aborts the run
 
 The state after k steps is a World, an immutable named tuple that a step
-rebuilds twice through replace: once with the new pair states, once with
-the new agents.  Each rebuild checks that the state matches the world's
-constant parts.
+rebuilds twice through replace (World._replace, one pass over its four
+fields): once with the new pair states, once with the new agents.  Each
+rebuild checks that the state matches the world's constant parts, whose
+own checks (dt, k_pos, edges) ran once, when WorldConstants was built.
 
 A run samples the world every `stride` steps into a Trace (the velocity
 columns are the observed model output) and derives Metrics from it.  It
@@ -39,13 +42,13 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, ModelValidityWarning, NumericDomainError, SimulationAbort
-from .interaction import (InteractionParams, PairState, corrected_position,
+from .interaction import (InteractionParams, PairState, corrected_positions,
                           force_repulsion, pair_force, pair_geometry, saturate,
                           update_pair)
 from .plant import AgentState, rk4_step
@@ -79,6 +82,24 @@ class WorldConstants:
                 raise ConfigurationError(
                     f"edge ({a}, {b}) must reference distinct agents as a < b, n={n}")
 
+    @cached_property
+    def couples(self):
+        """The range pass's couple table: every agent couple i < j in the
+        order of its trace slots, as rows (i, j, undeclared) and as the
+        arrays (ci, cj, radii[ci], radii[cj], undeclared mask).  Built on
+        first use and kept, so each step reads it without hashing the
+        edges and radii."""
+        ci, cj = np.triu_indices(len(self.radii), 1)
+        r = np.asarray(self.radii, dtype=float)
+        rows = tuple((i, j, (i, j) not in self.edges) for i, j in zip(ci.tolist(), cj.tolist()))
+        arrays = (ci, cj, r[ci], r[cj], np.array([free for _, _, free in rows], dtype=bool))
+        for a in arrays:
+            a.flags.writeable = False  # shared by every step of every world with these constants
+        return rows, arrays
+
+
+_KEEP = object()  # World._replace's default: keep the field as it is
+
 
 # World's fields.  typing.NamedTuple rejects __new__ and _make in the class
 # body, so World adds its checks in a subclass.
@@ -111,11 +132,22 @@ class World(_WorldFields):
         # every World is built here: World(...), pickle and copy through
         # __new__, and _replace directly
         world = tuple.__new__(cls, fields)
-        if len(world.const.radii) != len(world.agents):
+        _, agents, pairs, const = world
+        if len(const.radii) != len(agents):
             raise ConfigurationError("one interaction radius per agent required")
-        if len(world.pairs) != len(world.const.edges):
+        if len(pairs) != len(const.edges):
             raise ConfigurationError("one coupling state per declared edge required")
         return world
+
+    def _replace(self, /, *, k=_KEEP, agents=_KEEP, pairs=_KEEP, const=_KEEP, **unknown):
+        # the named tuple's _replace in one pass: the fields are unpacked
+        # once, and an unknown name raises ValueError as it does there
+        if unknown:
+            raise ValueError(f"Got unexpected field names: {list(unknown)!r}")
+        k0, agents0, pairs0, const0 = self
+        return self._make((k0 if k is _KEEP else k, agents0 if agents is _KEEP else agents,
+                           pairs0 if pairs is _KEEP else pairs,
+                           const0 if const is _KEEP else const))
 
     @property
     def edges(self):
@@ -135,26 +167,12 @@ replace = World._replace
 # array call per step instead of a Python loop.  engine.run per step on a
 # line of n agents 100 m apart (switching_smooth, edges (0, 1), (2, 3), ...,
 # 4 s in steps of 2 ms), same process, alternating, best of 7, CPU time,
-# Python 3.11 and numpy 2.4, 2-core x86-64 (BENCH_11.json):
+# Python 3.11 and numpy 2.4, 2-core x86-64 (BENCH_14.json):
 #   n        2     3     4     5     6     7     8
 #   couples  1     3     6     10    15    21    28
-#   loop us  7.0   8.8   12.0  14.8  18.2  21.6  24.9
-#   array us 12.0  13.4  15.6  17.2  19.3  20.5  22.0
-ARRAY_COUPLES = 21
-
-
-@lru_cache(maxsize=64)
-def _couples(edges, radii):
-    """The range pass's couple table: every agent couple i < j in the order
-    of its trace slots, as rows (i, j, undeclared) and as the arrays
-    (ci, cj, radii[ci], radii[cj], undeclared mask)."""
-    ci, cj = np.triu_indices(len(radii), 1)
-    r = np.asarray(radii, dtype=float)
-    rows = tuple((i, j, (i, j) not in edges) for i, j in zip(ci.tolist(), cj.tolist()))
-    arrays = (ci, cj, r[ci], r[cj], np.array([free for _, _, free in rows], dtype=bool))
-    for a in arrays:
-        a.flags.writeable = False  # shared by every step of every world with this key
-    return rows, arrays
+#   loop us  7.4   9.6   13.0  15.9  19.7  23.1  27.9
+#   array us 14.2  15.9  18.4  20.0  22.5  23.9  26.6
+ARRAY_COUPLES = 28
 
 
 def _controls(world, active_commands):
@@ -164,14 +182,15 @@ def _controls(world, active_commands):
     separations).  The range-pass separations come as computed: a list
     below ARRAY_COUPLES, an array from it on.
     """
-    const = world.const
+    _, agents, pairs, const = world
     prm, radii, gains = const.params, const.radii, const.gains
-    pstar = [corrected_position(s, gains) for s in world.agents]
+    d_t, c_max = prm.d_t, prm.c_max
+    pstar = corrected_positions(agents, gains)
     us = [0.0] * len(pstar)
     edge_d = []
     new_pairs = []
-    for k, ((a, b), pair) in enumerate(zip(const.edges, world.pairs)):
-        geom = pair_geometry(pstar[a], pstar[b], radii[a], radii[b], prm.d_t)
+    for k, ((a, b), pair) in enumerate(zip(const.edges, pairs)):
+        geom = pair_geometry(pstar[a], pstar[b], radii[a], radii[b], d_t)
         state = update_pair(pair, geom, prm, k in active_commands)
         f = pair_force(geom, state, prm)
         us[a] += f
@@ -179,28 +198,27 @@ def _controls(world, active_commands):
         new_pairs.append(state)
         edge_d.append(geom.d)
 
-    couples, (ci, cj, r_i, r_j, undeclared) = _couples(const.edges, radii)
+    couples, (ci, cj, r_i, r_j, undeclared) = const.couples
     if len(couples) < ARRAY_COUPLES:
         contacts = []
         range_d = []
         for i, j, free in couples:
-            geom = pair_geometry(pstar[i], pstar[j], radii[i], radii[j], prm.d_t)
+            geom = pair_geometry(pstar[i], pstar[j], radii[i], radii[j], d_t)
             if free and abs(geom.d) < geom.r_sum:
                 contacts.append((i, j))
             range_d.append(geom.d)
     else:
         p = np.asarray(pstar)
-        geom = pair_geometry(p[ci], p[cj], r_i, r_j, prm.d_t)
+        geom = pair_geometry(p[ci], p[cj], r_i, r_j, d_t)
         hit = np.flatnonzero(undeclared & (np.abs(geom.d) < geom.r_sum))
         contacts = zip(ci[hit].tolist(), cj[hit].tolist())
         range_d = geom.d
     for i, j in contacts:  # undeclared couples in contact, in (i, j) order
-        f = force_repulsion(
-            pair_geometry(pstar[i], pstar[j], radii[i], radii[j], prm.d_t), prm)
+        f = force_repulsion(pair_geometry(pstar[i], pstar[j], radii[i], radii[j], d_t), prm)
         us[i] += f
         us[j] -= f
 
-    return [saturate(u, prm.c_max) for u in us], tuple(new_pairs), edge_d, range_d
+    return [saturate(u, c_max) for u in us], tuple(new_pairs), edge_d, range_d
 
 
 def _integrate(world, us):
@@ -208,20 +226,22 @@ def _integrate(world, us):
     Returns (the new world, whether a new tilt exceeds TILT_LIMIT).
     Raises SimulationAbort with the first agent whose command the plant
     rejects as not finite, or whose new state is not finite."""
-    dt, plant = world.const.dt, world.const.plant
+    k, agents, _, const = world
+    dt, plant = const.dt, const.plant
+    isfinite = math.isfinite
     new_agents = []
     tilted = False
-    for idx, (s, u) in enumerate(zip(world.agents, us)):
+    for idx, (s, u) in enumerate(zip(agents, us)):
         try:
             s2 = rk4_step(s, u, dt, plant)
         except NumericDomainError:
             raise SimulationAbort(world.t, idx, s, f"non-finite plant input u={u}") from None
-        if not (math.isfinite(s2.pos) and math.isfinite(s2.vel)
-                and math.isfinite(s2.tilt) and math.isfinite(s2.tilt_rate)):
-            raise SimulationAbort((world.k + 1) * dt, idx, s2)
-        tilted = tilted or abs(s2.tilt) > TILT_LIMIT
+        p, v, tilt, rate = s2
+        if not (isfinite(p) and isfinite(v) and isfinite(tilt) and isfinite(rate)):
+            raise SimulationAbort((k + 1) * dt, idx, s2)
+        tilted = tilted or abs(tilt) > TILT_LIMIT
         new_agents.append(s2)
-    return replace(world, k=world.k + 1, agents=tuple(new_agents)), tilted
+    return replace(world, k=k + 1, agents=tuple(new_agents)), tilted
 
 
 # Python floats overflow to inf and turn invalid operations into nan without a
@@ -336,7 +356,7 @@ def run(scenario):
         raise ConfigurationError(f"t_end {scenario.t_end} shorter than one step dt={dt}")
 
     radii, edges = world.const.radii, world.const.edges
-    couples, _ = _couples(edges, radii)
+    couples, _ = world.const.couples
     slots = (*(("edge", a, b) for a, b in edges), *(("range", i, j) for i, j, _ in couples))
     slot_rsums = tuple(radii[i] + radii[j] for _, i, j in slots)
     n_cols = 2 + len(Trace.AGENT_FIELDS) * len(radii) + len(Trace.SLOT_FIELDS) * len(slots)
@@ -349,7 +369,7 @@ def run(scenario):
     tilted = any(abs(s.tilt) > TILT_LIMIT for s in world.agents)  # the initial state
 
     for k in range(n_steps + 1):
-        t_k = world.t
+        t_k = k * dt  # world.t
         if tilted and not tilt_warned:  # the state at t_k is the first past the limit
             tilt_warned = True
             warnings.warn(

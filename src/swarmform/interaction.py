@@ -33,6 +33,8 @@ from typing import NamedTuple
 
 from .errors import ConfigurationError
 
+_new = tuple.__new__  # builds a named-tuple record without its __new__ frame
+
 
 class InteractionVariant(str, enum.Enum):
     REPULSION = "repulsion"
@@ -120,8 +122,15 @@ def corrected_position(state, gains):
     are all zero."""
     if gains.k_pos == 0:
         raise ConfigurationError("corrected coordinates need k_pos != 0")
-    return (gains.k_pos * state.pos + gains.k_vel * state.vel
-            + gains.k_tilt * state.tilt + gains.k_rate * state.tilt_rate) / gains.k_pos
+    return corrected_positions((state,), gains)[0]
+
+
+def corrected_positions(states, gains):
+    """corrected_position of each (pos, vel, tilt, tilt_rate) state, as a
+    list, with the gains read once.  Unchecked: the caller has rejected
+    k_pos = 0 (the engine's WorldConstants does, once per world)."""
+    kp, kv, kt, kr = gains.k_pos, gains.k_vel, gains.k_tilt, gains.k_rate
+    return [(kp * p + kv * v + kt * tilt + kr * rate) / kp for p, v, tilt, rate in states]
 
 
 def pair_geometry(p_star_i, p_star_j, r_i, r_j, d_t):
@@ -132,7 +141,7 @@ def pair_geometry(p_star_i, p_star_j, r_i, r_j, d_t):
     d = p_star_j - p_star_i
     s_d = (d >= 0.0) * 2.0 - 1.0
     r_sum = r_i + r_j
-    return PairGeometry(d, s_d, d - s_d * r_sum, r_sum, 0.5 * (d_t + r_sum))
+    return _new(PairGeometry, (d, s_d, d - s_d * r_sum, r_sum, 0.5 * (d_t + r_sum)))
 
 
 def saturate(u, c_max):
@@ -231,7 +240,7 @@ def update_pair(pair, geom, params, uncouple_cmd_active):
     """
     ad = abs(geom.d)
     if params.variant not in _SWITCHING:
-        return PairState(pair.f_en, pair.uncouple_pending, ad)
+        return _new(PairState, (pair.f_en, pair.uncouple_pending, ad))
 
     f_en = pair.f_en
     pending = pair.uncouple_pending
@@ -248,4 +257,4 @@ def update_pair(pair, geom, params, uncouple_cmd_active):
     elif f_en == 0 and in_window and ad < geom.r_sum and entered_from_above:
         f_en = 1
 
-    return PairState(f_en, pending, ad)
+    return _new(PairState, (f_en, pending, ad))

@@ -16,7 +16,9 @@ trace downstream; no separate output map is materialised).
 
 Every agent is integrated on its own: rk4_step advances one AgentState by
 one classical Runge-Kutta step under a held command, and the engine calls
-it once per agent and step.
+it once per agent and step.  Each call checks dt and the finiteness of its
+five inputs, and builds the new state with tuple.__new__, skipping the
+frame of the named tuple's __new__.
 """
 
 import math
@@ -24,6 +26,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigurationError, NumericDomainError
+
+_new = tuple.__new__  # builds a named-tuple record without its __new__ frame
 
 
 @dataclass(frozen=True)
@@ -93,32 +97,34 @@ def rk4_step(state, u_held, dt, plant):
     force = kpkd * u_held
 
     # Stage derivatives, inlined for speed (this is the innermost loop of
-    # every simulation run).
-    a1 = v
+    # every simulation run).  Stage k's tilt and rate, t_k and c_k, are
+    # bound once and feed both of its derivative rows.
     b1 = g * tilt
-    c1 = rate
     d1 = force - kpkd * tilt - kd * rate
 
     h2 = 0.5 * dt
     a2 = v + h2 * b1
-    b2 = g * (tilt + h2 * c1)
+    t2 = tilt + h2 * rate
     c2 = rate + h2 * d1
-    d2 = force - kpkd * (tilt + h2 * c1) - kd * (rate + h2 * d1)
+    b2 = g * t2
+    d2 = force - kpkd * t2 - kd * c2
 
     a3 = v + h2 * b2
-    b3 = g * (tilt + h2 * c2)
+    t3 = tilt + h2 * c2
     c3 = rate + h2 * d2
-    d3 = force - kpkd * (tilt + h2 * c2) - kd * (rate + h2 * d2)
+    b3 = g * t3
+    d3 = force - kpkd * t3 - kd * c3
 
     a4 = v + dt * b3
-    b4 = g * (tilt + dt * c3)
+    t4 = tilt + dt * c3
     c4 = rate + dt * d3
-    d4 = force - kpkd * (tilt + dt * c3) - kd * (rate + dt * d3)
+    b4 = g * t4
+    d4 = force - kpkd * t4 - kd * c4
 
     s = dt / 6.0
-    return AgentState(
-        p + s * (a1 + 2.0 * (a2 + a3) + a4),
+    return _new(AgentState, (
+        p + s * (v + 2.0 * (a2 + a3) + a4),
         v + s * (b1 + 2.0 * (b2 + b3) + b4),
-        tilt + s * (c1 + 2.0 * (c2 + c3) + c4),
+        tilt + s * (rate + 2.0 * (c2 + c3) + c4),
         rate + s * (d1 + 2.0 * (d2 + d3) + d4),
-    )
+    ))

@@ -207,6 +207,40 @@ def test_non_finite_command_raises_the_same_error_on_both_sides(monkeypatch, n):
             "AgentState(pos=1.7e+308, vel=1.7e+308, tilt=0.0, tilt_rate=0.0)")
 
 
+def test_aborts_name_the_last_agent_and_the_step_time(monkeypatch):
+    # three agents, the last one at fault: 1.7e308 m plus 2e305 m per step
+    # overflows after 48 steps of 10 ms, and its corrected position is inf,
+    # so no pair involving it ever contributes a command
+    trio = make_scenario([AgentInit(0.0, 1.0, 0.0, 0.0, 20.0),
+                          AgentInit(50.0, -1.0, 0.0, 0.0, 20.0),
+                          AgentInit(1.7e308, 2e307, 0.0, 0.0, 20.0)],
+                         edges=[(0, 1)], dt=0.01, t_end=2.0)
+    # a new state that overflows reports the time of that state, (k + 1) * dt
+    with pytest.raises(SimulationAbort) as err:
+        run(trio)
+    assert err.value.agent == 2 and err.value.t == 49 * 0.01
+    assert str(err.value) == ("non-finite state at t=0.490000 s (agent 2): "
+                              "AgentState(pos=inf, vel=2e+307, tilt=0.0, tilt_rate=0.0)")
+
+    # a non-finite command reports the time of the step that computed it,
+    # world.t, and the agent's state before it
+    controls = engine._controls
+
+    def nan_for_the_last_agent_at_step_5(world, active_commands):
+        us, *rest = controls(world, active_commands)
+        if world.k == 5:
+            us[-1] = float("nan")
+        return (us, *rest)
+
+    monkeypatch.setattr(engine, "_controls", nan_for_the_last_agent_at_step_5)
+    with pytest.raises(SimulationAbort) as err:
+        run(trio)
+    assert err.value.agent == 2 and err.value.t == 5 * 0.01
+    assert err.value.state == AgentState(1.71e308, 2e307, 0.0, 0.0)
+    assert str(err.value) == ("non-finite plant input u=nan at t=0.050000 s (agent 2): "
+                              "AgentState(pos=1.71e+308, vel=2e+307, tilt=0.0, tilt_rate=0.0)")
+
+
 def test_tilt_warning_on_large_tilt():
     sc = make_scenario([AgentInit(0.0, 0.0, 0.6, 0.0, 20.0)], t_end=0.05)
     # the initial state is past the limit: one warning at t = 0
@@ -345,14 +379,14 @@ def test_run_with_explicit_gains():
 
 @st.composite
 def small_swarms(draw):
-    """1-7 agents within reach of each other, random edges and uncouple
-    commands: 0-21 couples, so both sides of ARRAY_COUPLES are drawn.
+    """1-8 agents within reach of each other, random edges and uncouple
+    commands: 0-28 couples, so both sides of ARRAY_COUPLES are drawn.
 
     Each edge may get a command shortly after its pair, flying freely,
     would reach the coupling distance, and the switching neighbourhood is
     0.5-3 m wide, so that a pair that couples is often still in it when
     the command fires and releases there."""
-    n = draw(st.integers(1, 7))
+    n = draw(st.sampled_from(range(1, 9)))
     # neighbours close on each other, some from just beyond the coupling distance
     gaps = [0.0] + [draw(st.floats(30.5, 36.0) | st.floats(10.0, 45.0)) for _ in range(n - 1)]
     agents = [AgentInit(sum(gaps[:i + 1]), (-1) ** i * draw(st.floats(0.0, 8.0)), 0.0, 0.0,
@@ -463,6 +497,11 @@ def test_world_validation(monkeypatch):
         engine.replace(w, pairs=())
     with pytest.raises(ConfigurationError, match="radius"):
         engine.replace(w, agents=w.agents[:1])
+    # a rebuild takes the named tuple's field names only, and none is required
+    with pytest.raises(ValueError, match=r"unexpected field names: \['bogus'\]"):
+        engine.replace(w, bogus=1)
+    same = engine.replace(w)
+    assert same == w and type(same) is World
     # copy and pickle rebuild through World.__new__, so through the checks
     assert copy.copy(w) == pickle.loads(pickle.dumps(w)) == w
     assert type(pickle.loads(pickle.dumps(w))) is World

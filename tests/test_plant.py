@@ -1,9 +1,11 @@
 """Plant model: derivative rows, RK4 behaviour and convergence order."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmform import (AgentState, ConfigurationError, NumericDomainError,
                        PlantParams, derivative, rk4_step)
@@ -125,3 +127,85 @@ def test_plant_params_validation():
         PlantParams(6.0, -1.0, 9.8)
     with pytest.raises(ConfigurationError):
         PlantParams(6.0, 25.0, math.nan)
+
+
+def _rk4_reference(state, u_held, dt, plant):
+    """rk4_step's stage arithmetic as it stood before its stage terms were
+    bound once: every operation on the same operands, in the same order."""
+    kpkd = plant.k_p * plant.k_d
+    kd = plant.k_d
+    g = plant.g
+    p, v, tilt, rate = state
+    force = kpkd * u_held
+    a1 = v
+    b1 = g * tilt
+    c1 = rate
+    d1 = force - kpkd * tilt - kd * rate
+    h2 = 0.5 * dt
+    a2 = v + h2 * b1
+    b2 = g * (tilt + h2 * c1)
+    c2 = rate + h2 * d1
+    d2 = force - kpkd * (tilt + h2 * c1) - kd * (rate + h2 * d1)
+    a3 = v + h2 * b2
+    b3 = g * (tilt + h2 * c2)
+    c3 = rate + h2 * d2
+    d3 = force - kpkd * (tilt + h2 * c2) - kd * (rate + h2 * d2)
+    a4 = v + dt * b3
+    b4 = g * (tilt + dt * c3)
+    c4 = rate + dt * d3
+    d4 = force - kpkd * (tilt + dt * c3) - kd * (rate + dt * d3)
+    s = dt / 6.0
+    return (p + s * (a1 + 2.0 * (a2 + a3) + a4),
+            v + s * (b1 + 2.0 * (b2 + b3) + b4),
+            tilt + s * (c1 + 2.0 * (c2 + c3) + c4),
+            rate + s * (d1 + 2.0 * (d2 + d3) + d4))
+
+
+def _bits(values):
+    return [struct.pack("<d", x) for x in values]
+
+
+# magnitudes from subnormal to near overflow, zeros of both signs included
+_wide = (st.floats(-1e3, 1e3)
+         | st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-300, 300))
+         | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]))
+_C_MAX = 0.05  # the shipped tilt saturation; commands come from inside and far outside it
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(state=st.tuples(_wide, _wide, _wide, _wide),
+       u=st.floats(-_C_MAX, _C_MAX) | st.floats(-1e3, 1e3),
+       dt=st.floats(1e-6, 0.1))
+def test_rk4_is_bit_identical_to_the_reference_stages(state, u, dt):
+    # the same floating-point operations on the same operands: equal bits,
+    # the sign of zero and any overflow to inf or nan included
+    got = rk4_step(AgentState(*state), u, dt, PLANT)
+    assert type(got) is AgentState
+    assert _bits(got) == _bits(_rk4_reference(state, u, dt, PLANT))
+
+
+_inputs = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7e308, -1.7e308])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(values=st.tuples(_inputs, _inputs, _inputs, _inputs, _inputs))
+def test_rk4_rejects_exactly_the_non_finite_inputs(values):
+    *state, u = values
+    if all(math.isfinite(x) for x in values):  # -0.0, subnormals and 1.7e308 pass
+        assert len(rk4_step(AgentState(*state), u, 1e-3, PLANT)) == 4
+    else:
+        with pytest.raises(NumericDomainError, match="non-finite plant input"):
+            rk4_step(AgentState(*state), u, 1e-3, PLANT)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.0, -1e-3, math.nan, math.inf, -math.inf, "0.001", None])
+def test_rk4_dt_contract_rejects(dt):
+    with pytest.raises(ConfigurationError, match="integration step dt must be > 0"):
+        rk4_step(AgentState(0, 0, 0, 0), 0.0, dt, PLANT)
+
+
+@pytest.mark.parametrize("dt", [1, 1e-6, 0.001, 0.1, 2.5])
+def test_rk4_dt_contract_accepts(dt):
+    assert rk4_step(AgentState(1.0, 2.0, 0.1, 0.0), 0.01, dt, PLANT) == \
+        _rk4_reference((1.0, 2.0, 0.1, 0.0), 0.01, dt, PLANT)
