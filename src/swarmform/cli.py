@@ -158,12 +158,9 @@ def cmd_sweep(args):
     values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
     tasks = [(text, args.param, v) for v in values]
 
-    if len(tasks) > 1:
-        workers = min(len(tasks), os.cpu_count() or 1)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
-    else:
-        results = [_sweep_worker(tasks[0])]
+    workers = min(len(tasks), os.cpu_count() or 1)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(_sweep_worker, tasks))
 
     lines = ["value,status,coupled,delta_rms,first_coupling_t,first_uncoupling_t"]
     for value, status, coupled, delta, t_c, t_u in results:

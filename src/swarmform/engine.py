@@ -361,7 +361,12 @@ def run(scenario):
     slot_rsums = tuple(radii[i] + radii[j] for _, i, j in slots)
     n_cols = 2 + len(Trace.AGENT_FIELDS) * len(radii) + len(Trace.SLOT_FIELDS) * len(slots)
 
-    firing = _firing_steps(scenario.commands, dt, n_steps)
+    # (due time, edge) of each uncouple command, the latest due first.  A
+    # command fires at the first step with t_k >= t - 1e-9, the test a step()
+    # caller makes on World.t; one never due by the last step (or at a NaN
+    # time) is dropped here, before it could upset the sort.
+    due = [(cmd.t - 1e-9, cmd.edge) for cmd in scenario.commands]
+    queue = sorted((c for c in due if n_steps * dt >= c[0]), reverse=True)
     samples = array("d")  # the sampled rows, one after another
     coupling_events = []
     uncoupling_events = []
@@ -375,7 +380,10 @@ def run(scenario):
             warnings.warn(
                 f"tilt exceeded {TILT_LIMIT} rad at t={t_k:.3f} s; "
                 "small-angle model validity is doubtful", ModelValidityWarning)
-        us, pairs, edge_d, range_d = _controls(world, firing.get(k, ()))
+        fired = ()
+        while queue and t_k >= queue[-1][0]:
+            fired += (queue.pop()[1],)
+        us, pairs, edge_d, range_d = _controls(world, fired)
         for e, (old, new) in enumerate(zip(world.pairs, pairs)):
             if new.f_en != old.f_en:
                 (coupling_events if new.f_en else uncoupling_events).append((e, t_k))
@@ -406,24 +414,6 @@ def run(scenario):
     metrics = Metrics(dres.rms_before, dres.rms_after, dres.value, dres.reason,
                       tuple(coupling_events), tuple(uncoupling_events), drift)
     return trace, metrics
-
-
-def _firing_steps(commands, dt, n_steps):
-    """{step k: edges whose uncouple command fires at k}.  A command fires
-    at the first k up to n_steps with k * dt >= t - 1e-9, the test a step()
-    caller makes on World.t."""
-    firing = {}
-    for cmd in commands:
-        due = cmd.t - 1e-9
-        if not n_steps * dt >= due:  # never due, or NaN
-            continue
-        k = math.ceil(max(due, 0.0) / dt)
-        while k > 0 and (k - 1) * dt >= due:
-            k -= 1
-        while k * dt < due:
-            k += 1
-        firing.setdefault(k, set()).add(cmd.edge)
-    return firing
 
 
 SETTLED_TILT = 1e-3  # rad; tilts below this count as settled flight

@@ -81,11 +81,12 @@ def rk4_step(state, u_held, dt, plant):
 
     The commanded tilt is constant across the step (zero-order hold), so
     discontinuous force laws upstream never change inside the stage
-    evaluations.  dt must be strictly positive; a zero step is a
-    configuration mistake, not a request for the identity.
+    evaluations.  dt must be a strictly positive int or float, and not a
+    bool; a zero step is a configuration mistake, not a request for the
+    identity.
     """
-    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0):
-        raise ConfigurationError(f"integration step dt must be > 0, got {dt}")
+    if not (isinstance(dt, (int, float)) and dt is not True and math.isfinite(dt) and dt > 0):
+        raise ConfigurationError(f"integration step dt must be > 0, got {dt!r}")
 
     kpkd = plant.k_p * plant.k_d
     kd = plant.k_d

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import math
 import pickle
 import random
 import warnings
@@ -409,13 +410,19 @@ def small_swarms(draw):
                          eps=draw(st.floats(0.5, 3.0)))
 
 
-def released_at(*times):
+def released_at(*times, pairs=1):
     """A switching_step pair that enters its switching neighbourhood at
     8.49 s and is still in it at RELEASE_STEP, with uncouple commands on
-    its edge at `times`: the pair releases on the step its command fires."""
-    return make_scenario([AgentInit(0.0, 2.25, 0.0, 0.0, 20.0),
-                          AgentInit(45.0, -2.25, 0.0, 0.0, 20.0)], [(0, 1)],
-                         [Command(t, "uncouple", 0) for t in times],
+    its edge at `times`: the pair releases on the step its command fires.
+    With pairs > 1, copies of the pair fly 1 km apart, as edges 0, 1, ...,
+    each with its own commands at `times`."""
+    agents, edges, commands = [], [], []
+    for e in range(pairs):
+        agents += [AgentInit(1000.0 * e, 2.25, 0.0, 0.0, 20.0),
+                   AgentInit(1000.0 * e + 45.0, -2.25, 0.0, 0.0, 20.0)]
+        edges.append((2 * e, 2 * e + 1))
+        commands += [Command(t, "uncouple", e) for t in times]
+    return make_scenario(agents, edges, commands,
                          variant=InteractionVariant.SWITCHING_STEP, dt=0.005, t_end=9.0, stride=5)
 
 
@@ -428,7 +435,13 @@ ON_GRID = RELEASE_STEP * 0.005  # 8.495000000000001
 @example(released_at(ON_GRID))
 @example(released_at(ON_GRID - 1e-10))
 @example(released_at(ON_GRID + 1e-10))
+@example(released_at(ON_GRID - 1e-9))
+@example(released_at(ON_GRID + 1e-9))
+@example(released_at(ON_GRID + 2e-9))  # due after the grid step: fires one step late
 @example(released_at(ON_GRID, ON_GRID + 1e-10))  # two commands on one edge
+@example(released_at(ON_GRID, pairs=2))  # two edges fire in one step
+@example(released_at(math.nan, ON_GRID))  # a NaN time is never due and, in either order,
+@example(released_at(ON_GRID, math.nan))  # blocks no other command
 def test_runs_and_step_loops_are_deterministic(sc):
     trace, metrics = run(sc)
     again, metrics_again = run(sc)
@@ -458,21 +471,12 @@ def test_small_swarms_draw_a_release():
     assert run(sc)[1].coupling_events
 
 
-def test_command_firing_table_matches_the_scan():
-    dt, n_steps = 0.005, 1800
-    times = [ON_GRID, ON_GRID - 1e-10, ON_GRID + 1e-10, ON_GRID - 1e-9, ON_GRID + 1e-9,
-             ON_GRID + 2e-9, 0.0, 1e-9, 2e-9, n_steps * dt, n_steps * dt + 1e-8, -1.0]
-    for t in times:
-        # the test a step() caller makes on World.t, step after step
-        due = [k for k in range(n_steps + 1) if k * dt >= t - 1e-9]
-        table = engine._firing_steps((Command(t, "uncouple", 3),), dt, n_steps)
-        assert table == ({due[0]: {3}} if due else {}), t
-    both = engine._firing_steps((Command(ON_GRID, "uncouple", 0),
-                                 Command(ON_GRID + 1e-10, "uncouple", 0),
-                                 Command(ON_GRID, "uncouple", 1)), dt, n_steps)
-    assert both == {RELEASE_STEP: {0, 1}}
+def test_a_command_fires_on_the_step_it_falls_due():
+    # 1e-10 s past the grid step is within the 1e-9 s tolerance
     _, metrics = run(released_at(ON_GRID + 1e-10))
     assert metrics.uncoupling_events == ((0, ON_GRID),)
+    _, metrics = run(released_at(ON_GRID, pairs=2))
+    assert metrics.uncoupling_events == ((0, ON_GRID), (1, ON_GRID))
 
 
 def test_world_validation(monkeypatch):

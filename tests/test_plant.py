@@ -199,7 +199,8 @@ def test_rk4_rejects_exactly_the_non_finite_inputs(values):
             rk4_step(AgentState(*state), u, 1e-3, PLANT)
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.0, -1e-3, math.nan, math.inf, -math.inf, "0.001", None])
+@pytest.mark.parametrize("dt", [0.0, -0.0, -1e-3, math.nan, math.inf, -math.inf, "0.001", None,
+                                True, np.float32(0.001)])
 def test_rk4_dt_contract_rejects(dt):
     with pytest.raises(ConfigurationError, match="integration step dt must be > 0"):
         rk4_step(AgentState(0, 0, 0, 0), 0.0, dt, PLANT)
