@@ -36,7 +36,12 @@ class SimulationAbort(SwarmformError, RuntimeError):
         self.t = t
         self.agent = agent
         self.state = state
+        self.message = message
         super().__init__(f"{message} at t={t:.6f} s (agent {agent}): {state}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild from __init__'s arguments, not from args
+        return type(self), (self.t, self.agent, self.state, self.message)
 
 
 class ModelValidityWarning(UserWarning):

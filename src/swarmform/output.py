@@ -10,10 +10,9 @@ take the 12 of format_short.
 import html
 import math
 from dataclasses import astuple, fields
-from itertools import repeat
 
 from .errors import ConfigurationError
-from .scenario import _fmt, _keys
+from .scenario import _fmt, _keys, _values
 
 
 def write_trace(trace):
@@ -40,19 +39,18 @@ def format_events(events):
 def write_report(metrics, scenario):
     """Key-value run report: resolved scenario parameters plus metrics.
 
-    The scenario keys are those of scenario.NUMBER_KEYS and the gains are
-    named gains.<Gains field>.  The key set and order are fixed across
-    variants and outcomes; values that do not apply read 'none'.
+    The scenario keys are those of scenario.KEYS and the gains are named
+    gains.<Gains field>.  The key set and order are fixed across variants
+    and outcomes; values that do not apply read 'none'.
     """
     gains = scenario.resolved_gains()
-    poles = repeat("none") if scenario.poles is None else astuple(scenario.poles)
+    values = {k: "none" if v is None else v for k, v in _values(scenario).items()}
+    # the variant heads the report, and k1 is reported resolved, as gains.k1
+    skip = ("interaction.variant", "interaction.k1")
     kv = [("variant", scenario.variant.value),
-          *zip(_keys("plant"), astuple(scenario.plant)),
-          *zip(_keys("poles"), poles),
+          *((k, values[k]) for k in _keys("plant") + _keys("poles")),
           *zip([f"gains.{f.name}" for f in fields(gains)], astuple(gains)),
-          # interaction.k1 is reported resolved, as gains.k1
-          *zip(_keys("interaction"), (scenario.c_max, scenario.d_t, scenario.eps)),
-          *zip(_keys("sim"), (scenario.dt, scenario.t_end, scenario.stride)),
+          *((k, values[k]) for k in _keys("interaction") + _keys("sim") if k not in skip),
           ("agents", len(scenario.agents)), ("edges", len(scenario.edges)),
           ("commands", len(scenario.commands)),
           ("rms_before", metrics.rms_before), ("rms_after", metrics.rms_after),

@@ -1,21 +1,22 @@
 """Scenario configuration: parsing, validation and serialisation.
 
 A scenario is flat ``key = value`` text with dotted keys, one setting per
-line, ``#`` comments allowed.  Besides the number keys of ``NUMBER_KEYS``
-below, which gives each one's type, default and bound, there are two text
-keys:
-
-    interaction.variant = repulsion | attraction | switching_step | switching_smooth
-    command[m].kind = uncouple
+line, ``#`` comments allowed.  Every key is a row of ``KEYS`` below, which
+gives its type, default and bound; a text key's type is a string enum
+whose values are the ones it accepts (``interaction.variant``,
+``command[m].kind``).  Parsing, serialisation, the report and
+``is_scalar_key`` all read that table.
 
 Either all of ``poles.*`` or all of ``gains.*`` give the feedback gains.
 Agent, edge and command indices must each be contiguous from 0.  Every
 validation error names the offending key.
 """
 
+import enum
 import math
 import re
 from dataclasses import astuple, dataclass
+from itertools import zip_longest
 
 from .errors import ScenarioError, SynthesisError
 from .interaction import InteractionVariant
@@ -24,11 +25,20 @@ from .plant import PlantParams
 
 REQUIRED = "required"
 
-# Every key that holds one number: (type, default or REQUIRED, bound), the
-# bound being "> 0", ">= 0" or None.  "[]" stands for an agent, edge or
-# command index.  Within a group the keys are in the order the parser
-# unpacks them.
-NUMBER_KEYS = {
+
+class CommandKind(str, enum.Enum):
+    UNCOUPLE = "uncouple"
+
+    def __str__(self):
+        return self.value
+
+
+# Every scenario key: (type, default or REQUIRED, bound), the bound being
+# "> 0", ">= 0" or None.  "[]" stands for an agent, edge or command index.
+# Within a group the keys are in the order the parser unpacks them and the
+# serialiser writes them; a sim.* or interaction.* key sets the Scenario
+# field of its last name.
+KEYS = {
     "plant.kp": (float, REQUIRED, "> 0"),        # angle-loop gain (1/s)
     "plant.kd": (float, REQUIRED, "> 0"),        # rate-loop gain (1/s)
     "plant.g": (float, REQUIRED, "> 0"),         # gravity (m/s^2)
@@ -42,6 +52,7 @@ NUMBER_KEYS = {
     "sim.dt": (float, 0.001, "> 0"),             # integration step (s)
     "sim.t_end": (float, 40.0, "> 0"),           # duration (s)
     "sim.stride": (int, 10, "> 0"),              # trace sampling stride
+    "interaction.variant": (InteractionVariant, REQUIRED, None),  # force law
     "interaction.c_max": (float, REQUIRED, "> 0"),  # commanded-tilt saturation (rad)
     "interaction.d_t": (float, REQUIRED, "> 0"),    # coupling distance (m)
     "interaction.eps": (float, REQUIRED, "> 0"),    # switching half-width (m)
@@ -54,6 +65,7 @@ NUMBER_KEYS = {
     "edge[].a": (int, REQUIRED, None),           # coupled pair (formation graph)
     "edge[].b": (int, REQUIRED, None),
     "command[].t": (float, REQUIRED, None),      # scheduled time, in [0, t_end]
+    "command[].kind": (CommandKind, REQUIRED, None),  # what the command does
     "command[].edge": (int, REQUIRED, None),     # edge the command acts on
 }
 
@@ -63,16 +75,21 @@ _INDEX = r"\[(0|[1-9]\d*)\]"
 
 
 def _row(key):
-    """The NUMBER_KEYS row of a concrete key (indices as digits), or None."""
+    """The KEYS row of a concrete key (indices as digits), or None."""
     if "[]" not in key:
-        return NUMBER_KEYS.get(re.sub(_INDEX, "[]", key))
+        return KEYS.get(re.sub(_INDEX, "[]", key))
 
 
 def _keys(group, index=None):
-    """The number keys of one group ("plant", "agent", ...) in table order,
-    with the index filled in."""
+    """The keys of one group ("plant", "agent", ...) in table order, with
+    the index filled in."""
     prefix = group + ("." if index is None else "[].")
-    return [k.replace("[]", f"[{index}]") for k in NUMBER_KEYS if k.startswith(prefix)]
+    return [k.replace("[]", f"[{index}]") for k in KEYS if k.startswith(prefix)]
+
+
+def _field(key):
+    """The Scenario field a sim.* or interaction.* key sets."""
+    return key.rpartition(".")[2]
 
 
 def is_scalar_key(key):
@@ -98,7 +115,7 @@ class AgentInit:
 @dataclass(frozen=True)
 class Command:
     t: float
-    kind: str
+    kind: CommandKind
     edge: int
 
 
@@ -168,9 +185,9 @@ class _Entries:
             raise ScenarioError(f"{key}: required key missing")
         return self.entries.pop(key)
 
-    def number(self, key):
-        """The value of a number key, or its default when absent, checked
-        against its type and bound in NUMBER_KEYS."""
+    def value(self, key):
+        """The value of a key, or its default when absent, converted by its
+        type in KEYS and checked against its bound."""
         kind, default, bound = _row(key)
         if key not in self.entries and default is not REQUIRED:
             return default
@@ -178,6 +195,9 @@ class _Entries:
         try:
             value = kind(raw)
         except ValueError:
+            if issubclass(kind, enum.Enum):
+                names = ", ".join(v.value for v in kind)
+                raise ScenarioError(f"{key}: unknown value {raw!r} (one of: {names})")
             raise ScenarioError(f"{key}: not {'a number' if kind is float else 'an integer'}: {raw!r}")
         if kind is float and not math.isfinite(value):
             raise ScenarioError(f"{key}: must be finite, got {raw!r}")
@@ -203,7 +223,7 @@ class _Entries:
 def build_scenario(entries):
     e = _Entries(entries)
 
-    plant = PlantParams(*map(e.number, _keys("plant")))
+    plant = PlantParams(*map(e.value, _keys("plant")))
 
     have_poles = any(k in e.entries for k in _keys("poles"))
     have_gains = any(k in e.entries for k in _keys("gains"))
@@ -212,34 +232,27 @@ def build_scenario(entries):
     poles = None
     explicit = None
     if have_gains:
-        explicit = tuple(map(e.number, _keys("gains")))
+        explicit = tuple(map(e.value, _keys("gains")))
     else:
-        poles = PoleSpec(*map(e.number, _keys("poles")))
+        poles = PoleSpec(*map(e.value, _keys("poles")))
 
-    dt, t_end, stride = map(e.number, _keys("sim"))
+    settings = {_field(k): e.value(k) for k in _keys("sim") + _keys("interaction")}
+    dt, t_end, d_t = settings["dt"], settings["t_end"], settings["d_t"]
     if t_end < dt:
         raise ScenarioError(f"sim.t_end: must cover at least one step of sim.dt={dt}")
     if not math.isfinite(t_end / dt):
         raise ScenarioError(f"sim.dt: too small for sim.t_end={t_end}: "
                             f"the step count t_end/dt overflows, got {dt}")
 
-    variant_raw = e.take("interaction.variant")
-    try:
-        variant = InteractionVariant(variant_raw)
-    except ValueError:
-        names = ", ".join(v.value for v in InteractionVariant)
-        raise ScenarioError(f"interaction.variant: unknown variant {variant_raw!r} (one of: {names})")
-    c_max, d_t, eps, k1 = map(e.number, _keys("interaction"))
-
     n_agents = e.group_indices("agent")
     if n_agents == 0:
         raise ScenarioError("agent[0].pos: at least one agent is required")
-    agents = [AgentInit(*map(e.number, _keys("agent", i))) for i in range(n_agents)]
+    agents = [AgentInit(*map(e.value, _keys("agent", i))) for i in range(n_agents)]
 
     n_edges = e.group_indices("edge")
     edges = []
     for k in range(n_edges):
-        a, b = map(e.number, _keys("edge", k))
+        a, b = map(e.value, _keys("edge", k))
         if not (0 <= a < n_agents and 0 <= b < n_agents):
             raise ScenarioError(f"edge[{k}].a: endpoints must name existing agents, got ({a}, {b})")
         if a == b:
@@ -257,11 +270,7 @@ def build_scenario(entries):
     n_cmds = e.group_indices("command")
     commands = []
     for m in range(n_cmds):
-        t = e.number(f"command[{m}].t")
-        kind = e.take(f"command[{m}].kind")
-        edge = e.number(f"command[{m}].edge")
-        if kind != "uncouple":
-            raise ScenarioError(f"command[{m}].kind: unknown kind {kind!r} (supported: uncouple)")
+        t, kind, edge = map(e.value, _keys("command", m))
         if not 0.0 <= t <= t_end:
             raise ScenarioError(f"command[{m}].t: must lie in [0, t_end={t_end}], got {t}")
         if not 0 <= edge < n_edges:
@@ -270,9 +279,9 @@ def build_scenario(entries):
 
     e.reject_leftovers()
 
-    scenario = Scenario(plant, poles, explicit, tuple(agents), variant,
-                        c_max, d_t, eps, k1, tuple(edges), tuple(commands),
-                        dt, t_end, stride)
+    scenario = Scenario(plant=plant, poles=poles, explicit_gains=explicit,
+                        agents=tuple(agents), edges=tuple(edges),
+                        commands=tuple(commands), **settings)
     # The scenario runs only if synthesis succeeds and leaves k_pos != 0;
     # check both here, with a key attached.
     try:
@@ -285,22 +294,21 @@ def build_scenario(entries):
     return scenario
 
 
+def _values(s):
+    """Every key of a scenario and its value, in KEYS order; an absent
+    optional value (interaction.k1, and poles.* or gains.*) is None."""
+    settings = _keys("sim") + _keys("interaction")
+    groups = [(_keys("plant"), astuple(s.plant)),
+              (_keys("poles"), () if s.poles is None else astuple(s.poles)),
+              (_keys("gains"), s.explicit_gains or ()),
+              (settings, [getattr(s, _field(k)) for k in settings]),
+              *((_keys("agent", i), astuple(agent)) for i, agent in enumerate(s.agents)),
+              *((_keys("edge", k), edge) for k, edge in enumerate(s.edges)),
+              *((_keys("command", m), astuple(c)) for m, c in enumerate(s.commands))]
+    return {key: value for keys, values in groups for key, value in zip_longest(keys, values)}
+
+
 def serialize_scenario(s):
     """Scenario back to its text form (parse round-trips to an equal value)."""
-    pairs = [*zip(_keys("plant"), astuple(s.plant))]
-    if s.explicit_gains is not None:
-        pairs += zip(_keys("gains"), s.explicit_gains)
-    else:
-        pairs += zip(_keys("poles"), astuple(s.poles))
-    pairs += zip(_keys("sim"), (s.dt, s.t_end, s.stride))
-    pairs += [("interaction.variant", s.variant), ("interaction.c_max", s.c_max),
-              ("interaction.d_t", s.d_t), ("interaction.eps", s.eps)]
-    if s.k1 is not None:
-        pairs.append(("interaction.k1", s.k1))
-    for i, agent in enumerate(s.agents):
-        pairs += zip(_keys("agent", i), astuple(agent))
-    for k, edge in enumerate(s.edges):
-        pairs += zip(_keys("edge", k), edge)
-    for m, c in enumerate(s.commands):
-        pairs += zip((f"command[{m}].t", f"command[{m}].kind", f"command[{m}].edge"), astuple(c))
-    return "".join(f"{key} = {_fmt(value)}\n" for key, value in pairs)
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in _values(s).items()
+                   if value is not None)

@@ -269,6 +269,26 @@ def test_compare_reports_attraction_no_coupling(short_file, capsys):
     assert "coupling_events: none" in out
 
 
+def test_compare_undefined_delta_rms_ratio_is_na(tmp_path, capsys):
+    # at 5 s the pair has no settled window after its bounce
+    cfg = tmp_path / "five.cfg"
+    cfg.write_text(SHORT.replace("sim.t_end = 16.0", "sim.t_end = 5.0"))
+    rc = main(["compare", str(cfg), "--variants", "repulsion,attraction"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.count("delta_rms: undefined (") == 2
+    assert out.endswith("ratio delta_rms(repulsion)/delta_rms(attraction): n/a\n")
+
+
+def test_compare_non_finite_command_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(non_finite_command_text())
+    rc = main(["compare", str(cfg), "--variants", "repulsion,switching_step"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "simulation aborted: non-finite plant input u=nan at t=0.000000 s (agent 0)")
+
+
 def test_compare_unknown_variant_exits_2(short_file, capsys):
     rc = main(["compare", short_file, "--variants", "repulsion,sorcery"])
     assert rc == 2

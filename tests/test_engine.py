@@ -242,6 +242,21 @@ def test_aborts_name_the_last_agent_and_the_step_time(monkeypatch):
                               "AgentState(pos=1.71e+308, vel=2e+307, tilt=0.0, tilt_rate=0.0)")
 
 
+def test_simulation_abort_survives_pickle_and_copy():
+    # a pool worker's abort reaches the parent through pickle
+    err = SimulationAbort(0.05, 2, AgentState(1.71e308, 2e307, 0.0, 0.0),
+                          "non-finite plant input u=nan")
+    for clone in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+        assert type(clone) is SimulationAbort
+        assert (clone.t, clone.agent, clone.state, clone.message) == (
+            err.t, err.agent, err.state, err.message)
+        assert str(clone) == str(err) == (
+            "non-finite plant input u=nan at t=0.050000 s (agent 2): "
+            "AgentState(pos=1.71e+308, vel=2e+307, tilt=0.0, tilt_rate=0.0)")
+    default = pickle.loads(pickle.dumps(SimulationAbort(1.0, 0, "s")))
+    assert str(default) == "non-finite state at t=1.000000 s (agent 0): s"
+
+
 def test_tilt_warning_on_large_tilt():
     sc = make_scenario([AgentInit(0.0, 0.0, 0.6, 0.0, 20.0)], t_end=0.05)
     # the initial state is past the limit: one warning at t = 0

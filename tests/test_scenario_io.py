@@ -89,6 +89,19 @@ def test_parse_error_messages_name_the_key():
         assert key in str(err.value)
 
 
+@pytest.mark.parametrize("key, accepted", [
+    ("interaction.variant", "repulsion, attraction, switching_step, switching_smooth"),
+    ("command[0].kind", "uncouple")])
+def test_unknown_text_value_names_the_key_and_the_accepted_values(key, accepted):
+    text = MINIMAL + ("edge[0].a = 0\nedge[0].b = 1\n"
+                      "command[0].t = 5\ncommand[0].kind = uncouple\ncommand[0].edge = 0\n")
+    assert parse_scenario(text)
+    text = re.sub(re.escape(key) + " = .*", f"{key} = magnets", text)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == f"{key}: unknown value 'magnets' (one of: {accepted})"
+
+
 def test_parse_rejects_a_step_count_that_overflows():
     # t_end / dt = inf: the run could not count its steps
     with pytest.raises(ScenarioError, match=r"^sim\.dt: .*overflows"):
@@ -197,6 +210,60 @@ def test_shipped_scenarios_round_trip():
     for name in ("two_agent_switching_step", "three_agent_chain"):
         sc = parse_scenario(scenario_text(name))
         assert parse_scenario(serialize_scenario(sc)) == sc
+
+
+SERIALISED = """\
+plant.kp = 6
+plant.kd = 25
+plant.g = 9.8000000000000007
+gains.kpos = 0.029999999999999999
+gains.kvel = 0.0050000000000000001
+gains.ktilt = -0.037999999999999999
+gains.krate = -0.0067000000000000002
+sim.dt = 0.001
+sim.t_end = 40
+sim.stride = 10
+interaction.variant = repulsion
+interaction.c_max = 0.050000000000000003
+interaction.d_t = 30
+interaction.eps = 0.10000000000000001
+interaction.k1 = 0.02
+agent[0].pos = 50
+agent[0].vel = -1.5
+agent[0].tilt = 0
+agent[0].rate = 0
+agent[0].radius = 20
+agent[1].pos = 0
+agent[1].vel = 3
+agent[1].tilt = 0
+agent[1].rate = 0
+agent[1].radius = 20
+edge[0].a = 0
+edge[0].b = 1
+command[0].t = 5
+command[0].kind = uncouple
+command[0].edge = 0
+"""
+
+# sha256 of serialize_scenario for each shipped scenario
+SERIALISED_SHA256 = {
+    "three_agent_chain": "979be9e4115216356342e8019a0c361ef8c9b6ad90dea9b920da35db5bd14fbc",
+    "two_agent_attraction": "1c3e3f72cd6af9163708b13446d41c181101cf4752f704787572c8d6f8c53aba",
+    "two_agent_repulsion": "61f37f6fecaece916eea69a7612a805297698a7490107b5496ec5888b57a60e9",
+    "two_agent_switching_smooth": "76101643c492cdbee95b290c1db01bf3cb1e728083924e21077b30bab04fe2fd",
+    "two_agent_switching_step": "6cd27a8eb1d69d46d062ad32bba073a4d48869e7a78977febdd6421095b0719e",
+}
+
+
+def test_serialised_text_is_pinned():
+    # key order within and across groups, the 17-digit floats, and the
+    # absent poles.* written as nothing
+    text = EXPLICIT_GAINS + ("interaction.k1 = 0.02\nedge[0].a = 1\nedge[0].b = 0\n"
+                             "command[0].t = 5\ncommand[0].kind = uncouple\ncommand[0].edge = 0\n")
+    assert serialize_scenario(parse_scenario(text)) == SERIALISED
+    for name, digest in SERIALISED_SHA256.items():
+        text = serialize_scenario(parse_scenario(scenario_text(name)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_is_scalar_key():
