@@ -33,14 +33,19 @@ rebuild checks that the state matches the world's constant parts, whose
 own checks (dt, k_pos, edges) ran once, when WorldConstants was built.
 
 A run samples the world every `stride` steps into a Trace (the velocity
-columns are the observed model output) and derives Metrics from it.  It
-warns once, at the first state (the initial one included) whose tilt
-exceeds TILT_LIMIT; step() never warns.
+columns are the observed model output) and derives Metrics from it.  Each
+sampled step appends to one array('d') buffer per field (agent states,
+commands, slot separations, edge indicators) with one bulk call each; after
+the loop the run builds Trace.data once, derives its t and rms columns in
+numpy and leaves the range-slot indicators at 0.  It warns once, at the
+first state (the initial one included) whose tilt exceeds TILT_LIMIT;
+step() never warns.
 """
 
 import math
 import warnings
 from array import array
+from itertools import chain
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -327,11 +332,16 @@ class Metrics:
 
 
 def rms_velocity(velocities):
-    """Root of the mean squared agent velocity."""
+    """Root of the mean squared agent velocity, the squares summed left to
+    right as run sums them (from Python 3.12 on, sum() of floats is
+    compensated and rounds differently)."""
     vals = list(velocities)
     if not vals:
         raise NumericDomainError("RMS velocity of an empty swarm is undefined")
-    return math.sqrt(sum(v * v for v in vals) / len(vals))
+    total = 0.0
+    for v in vals:
+        total += v * v
+    return math.sqrt(total / len(vals))
 
 
 def build_world(scenario):
@@ -356,10 +366,11 @@ def run(scenario):
         raise ConfigurationError(f"t_end {scenario.t_end} shorter than one step dt={dt}")
 
     radii, edges = world.const.radii, world.const.edges
+    if not radii:  # the first sampled row's RMS velocity
+        raise NumericDomainError("RMS velocity of an empty swarm is undefined")
     couples, _ = world.const.couples
     slots = (*(("edge", a, b) for a, b in edges), *(("range", i, j) for i, j, _ in couples))
     slot_rsums = tuple(radii[i] + radii[j] for _, i, j in slots)
-    n_cols = 2 + len(Trace.AGENT_FIELDS) * len(radii) + len(Trace.SLOT_FIELDS) * len(slots)
 
     # (due time, edge) of each uncouple command, the latest due first.  A
     # command fires at the first step with t_k >= t - 1e-9, the test a step()
@@ -367,7 +378,12 @@ def run(scenario):
     # time) is dropped here, before it could upset the sort.
     due = [(cmd.t - 1e-9, cmd.edge) for cmd in scenario.commands]
     queue = sorted((c for c in due if n_steps * dt >= c[0]), reverse=True)
-    samples = array("d")  # the sampled rows, one after another
+    # the sampled rows by field: agent states (4 per agent), commands, slot
+    # separations and edge indicators; t and rms are derived after the loop
+    states, commands, seps, fens = array("d"), array("d"), array("d"), array("d")
+    # range separations come as a list below ARRAY_COUPLES, as a float64 array from it on
+    add_range_seps = (seps.extend if len(couples) < ARRAY_COUPLES
+                      else lambda range_d: seps.frombytes(range_d.tobytes()))
     coupling_events = []
     uncoupling_events = []
     tilt_warned = False
@@ -390,26 +406,31 @@ def run(scenario):
         world = replace(world, pairs=pairs)
 
         if k % stride == 0:
-            row = [t_k]
-            for s, u in zip(world.agents, us):
-                row += s
-                row.append(u)
-            vel = [s.vel for s in world.agents]
-            for d, p in zip(edge_d, pairs):
-                row += (d, p.f_en)
-            # monitored couples carry no coupling state: their indicator is 0
-            for d in range_d:
-                row += (d, 0)
-            row.append(rms_velocity(vel))
-            samples.extend(row)
+            states.extend(chain.from_iterable(world.agents))
+            commands.extend(us)
+            seps.extend(edge_d)
+            add_range_seps(range_d)
+            fens.extend([p.f_en for p in pairs])
 
         if k < n_steps:
             world, tilted = _integrate(world, us)
 
-    trace = Trace(np.frombuffer(samples).reshape(-1, n_cols), dt, stride,
-                  len(world.agents), slots, slot_rsums)
+    n_rows, n = n_steps // stride + 1, len(radii)
+    n_cols = 2 + len(Trace.AGENT_FIELDS) * n + len(Trace.SLOT_FIELDS) * len(slots)
+    # zeros: monitored couples carry no coupling state, so their indicator stays 0
+    trace = Trace(np.zeros((n_rows, n_cols)), dt, stride, n, slots, slot_rsums)
+    trace.data[:, 0] = np.arange(0, n_rows * stride, stride) * dt  # k * dt, as t_k
+    agent_states = np.frombuffer(states).reshape(n_rows, n, len(AgentState._fields))
+    for f, field in enumerate(("pos", "vel", "tilt", "rate")):
+        trace.block(field)[:] = agent_states[:, :, f]
+    trace.block("u")[:] = np.frombuffer(commands).reshape(n_rows, n)
+    trace.block("d")[:] = np.frombuffer(seps).reshape(n_rows, len(slots))
+    trace.block("fen")[:, :len(edges)] = np.frombuffer(fens).reshape(n_rows, len(edges))
+    # sums over the agents run left to right, as rms_velocity's; .sum(axis=1) rounds differently
+    vel = trace.block("vel")
+    trace.data[:, -1] = np.sqrt(sum((vel * vel).T) / n)  # rms_velocity of each row
     dres = delta_rms(trace)
-    vsums = sum(trace.block("vel").T)  # left to right; .sum(axis=1) rounds differently
+    vsums = sum(vel.T)
     drift = float(np.max(np.abs(vsums - vsums[0])))
     metrics = Metrics(dres.rms_before, dres.rms_after, dres.value, dres.reason,
                       tuple(coupling_events), tuple(uncoupling_events), drift)

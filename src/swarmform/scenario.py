@@ -193,6 +193,8 @@ class _Entries:
             return default
         raw = self.take(key)
         try:
+            if "_" in raw and kind in (float, int):  # both would read 6_0 as 60
+                raise ValueError(raw)
             value = kind(raw)
         except ValueError:
             if issubclass(kind, enum.Enum):

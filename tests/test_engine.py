@@ -486,6 +486,37 @@ def test_small_swarms_draw_a_release():
     assert run(sc)[1].coupling_events
 
 
+@st.composite
+def sampled_swarms(draw):
+    """small_swarms at stride 1, 3 or 7, over a step count that 7 does not
+    divide, so that the last step is not sampled at stride 7."""
+    n_steps = draw(st.integers(60, 300).filter(lambda k: k % 7))
+    return replace(draw(small_swarms()), t_end=n_steps * 0.005,
+                   stride=draw(st.sampled_from((1, 3, 7))))
+
+
+def line_of(n, stride):
+    """n agents 35 m apart, neighbours closing on each other, with edges
+    (0, 1), (2, 3), ...; at n = 8 the range pass is the array side."""
+    agents = [AgentInit(35.0 * i, (-1) ** i * 2.0, 0.0, 0.0, 20.0) for i in range(n)]
+    return make_scenario(agents, [(i, i + 1) for i in range(0, n - 1, 2)],
+                         dt=0.005, t_end=1.0, stride=stride)
+
+
+@settings(derandomize=True, deadline=None)
+@given(sampled_swarms())
+@example(line_of(1, 7))  # a lone agent: no pair slot
+@example(line_of(8, 3))  # ARRAY_COUPLES couples
+def test_run_derives_t_rms_and_range_indicators_after_the_loop(sc):
+    trace, _ = run(sc)
+    n_steps = int(round(sc.t_end / sc.dt))
+    assert trace.n_rows == n_steps // sc.stride + 1
+    assert trace.data[:, 0].tolist() == [k * sc.stride * sc.dt for k in range(trace.n_rows)]
+    assert trace.column("rms").tolist() == [rms_velocity(v) for v in trace.block("vel").tolist()]
+    assert not trace.block("fen")[:, len(sc.edges):].any()
+    assert trace.block("d").shape == (trace.n_rows, len(trace.slots))
+
+
 def test_a_command_fires_on_the_step_it_falls_due():
     # 1e-10 s past the grid step is within the 1e-9 s tolerance
     _, metrics = run(released_at(ON_GRID + 1e-10))

@@ -102,6 +102,18 @@ def test_unknown_text_value_names_the_key_and_the_accepted_values(key, accepted)
     assert str(err.value) == f"{key}: unknown value 'magnets' (one of: {accepted})"
 
 
+@pytest.mark.parametrize("line, message", [
+    ("plant.kp = 6_0", "plant.kp: not a number: '6_0'"),
+    ("edge[0].b = 0_1", "edge[0].b: not an integer: '0_1'")])
+def test_numeric_underscores_are_not_numbers(line, message):
+    # float() and int() read numeric-literal underscores: 6_0 would parse as 60
+    key = line.split(" = ")[0]
+    text = re.sub(re.escape(key) + " = .*", line, scenario_text("two_agent_switching_step"))
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+
+
 def test_parse_rejects_a_step_count_that_overflows():
     # t_end / dt = inf: the run could not count its steps
     with pytest.raises(ScenarioError, match=r"^sim\.dt: .*overflows"):
@@ -288,7 +300,7 @@ def test_is_scalar_key():
 
 
 SHIPPED = sorted(p.stem for p in SCENARIOS.glob("*.cfg"))
-HOSTILE = ("0", "-1", "1e-320", "5e-324", "nan", "inf", "word", "9")
+HOSTILE = ("0", "-1", "1e-320", "5e-324", "nan", "inf", "word", "9", "1_0")
 
 
 @st.composite
@@ -492,6 +504,16 @@ def test_svg_constant_series_far_from_zero():
     # a constant 1e16 m separation: the +/-1 pad vanishes against 1e16
     svg = render_svg(far_pair(0.0), ["pair0_d"])
     ET.fromstring(svg)
+
+
+def test_svg_of_a_one_row_trace():
+    # t_end = dt at stride 2 samples only t = 0: one point per polyline
+    trace, _ = run(parse_scenario(MINIMAL + "sim.t_end = 0.001\nsim.stride = 2\n"))
+    assert trace.n_rows == 1
+    root = ET.fromstring(render_svg(trace, ["agent0_vel"]))
+    lines = list(root.iter("{http://www.w3.org/2000/svg}polyline"))
+    # the one point sits at the left edge, mid-height (a constant series)
+    assert [el.get("points") for el in lines] == ["66.00,209.00"]
 
 
 def test_svg_escapes_its_title():
