@@ -366,8 +366,8 @@ def run(scenario):
         raise ConfigurationError(f"t_end {scenario.t_end} shorter than one step dt={dt}")
 
     radii, edges = world.const.radii, world.const.edges
-    if not radii:  # the first sampled row's RMS velocity
-        raise NumericDomainError("RMS velocity of an empty swarm is undefined")
+    if not radii:
+        rms_velocity(())  # raises: the first sampled row's RMS velocity is undefined
     couples, _ = world.const.couples
     slots = (*(("edge", a, b) for a, b in edges), *(("range", i, j) for i, j, _ in couples))
     slot_rsums = tuple(radii[i] + radii[j] for _, i, j in slots)
@@ -381,9 +381,10 @@ def run(scenario):
     # the sampled rows by field: agent states (4 per agent), commands, slot
     # separations and edge indicators; t and rms are derived after the loop
     states, commands, seps, fens = array("d"), array("d"), array("d"), array("d")
-    # range separations come as a list below ARRAY_COUPLES, as a float64 array from it on
+    # range separations come as a list below ARRAY_COUPLES, as a float64 array from it
+    # on, appended as its bytes without a copy (frombytes refuses the array itself)
     add_range_seps = (seps.extend if len(couples) < ARRAY_COUPLES
-                      else lambda range_d: seps.frombytes(range_d.tobytes()))
+                      else lambda range_d: seps.frombytes(range_d.data.cast("B")))
     coupling_events = []
     uncoupling_events = []
     tilt_warned = False
@@ -415,15 +416,14 @@ def run(scenario):
         if k < n_steps:
             world, tilted = _integrate(world, us)
 
-    n_rows, n = n_steps // stride + 1, len(radii)
-    n_cols = 2 + len(Trace.AGENT_FIELDS) * n + len(Trace.SLOT_FIELDS) * len(slots)
+    n_rows, n, na = n_steps // stride + 1, len(radii), len(Trace.AGENT_FIELDS)
+    n_cols = 2 + na * n + len(Trace.SLOT_FIELDS) * len(slots)
     # zeros: monitored couples carry no coupling state, so their indicator stays 0
     trace = Trace(np.zeros((n_rows, n_cols)), dt, stride, n, slots, slot_rsums)
     trace.data[:, 0] = np.arange(0, n_rows * stride, stride) * dt  # k * dt, as t_k
-    agent_states = np.frombuffer(states).reshape(n_rows, n, len(AgentState._fields))
-    for f, field in enumerate(("pos", "vel", "tilt", "rate")):
-        trace.block(field)[:] = agent_states[:, :, f]
-    trace.block("u")[:] = np.frombuffer(commands).reshape(n_rows, n)
+    agent_cols = trace.data[:, 1:1 + na * n].reshape(n_rows, n, na)  # a view, (row, agent, field)
+    agent_cols[..., :-1] = np.frombuffer(states).reshape(n_rows, n, -1)  # pos, vel, tilt, rate
+    agent_cols[..., -1] = np.frombuffer(commands).reshape(n_rows, n)  # u
     trace.block("d")[:] = np.frombuffer(seps).reshape(n_rows, len(slots))
     trace.block("fen")[:, :len(edges)] = np.frombuffer(fens).reshape(n_rows, len(edges))
     # sums over the agents run left to right, as rms_velocity's; .sum(axis=1) rounds differently

@@ -1,7 +1,6 @@
 """tools/ab_bench.py: the claim rule and the bound check on hand-made runs."""
 
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
@@ -66,34 +65,3 @@ def test_bound_broken_follows_the_metric_direction(better, worse):
     assert broken(worse)  # 30 % worse than the parent, past the 25 % bound
     assert not broken(2.0 - worse)  # 30 % better
     assert not broken(1.0 + (worse - 1.0) / 3)  # 10 % worse, inside the bound
-
-
-def fake_tree(path):
-    """A directory that passes main's checks for a tree."""
-    (path / "perfbench").mkdir(parents=True)
-    (path / "perfbench" / "run.py").write_text("")
-    (path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
-    return str(path)
-
-
-@pytest.mark.parametrize("options, expected", [
-    ([], list(ab_bench.WORKLOADS)),
-    (["--workload", "param_sweep", "--workload", "pair_encounter"],
-     ["pair_encounter", "param_sweep"])])
-def test_workload_options_choose_the_workloads_run(tmp_path, monkeypatch, options, expected):
-    ran = []
-    monkeypatch.setattr(ab_bench, "run_once",
-                        lambda tree, workload, seed: ran.append(workload) or result(100.0))
-    out = tmp_path / "bench.json"
-    trees = [fake_tree(tmp_path / "parent"), fake_tree(tmp_path / "change")]
-    assert ab_bench.main([*trees, "--pairs", "1", "--out", str(out), *options]) == 0
-    data = json.loads(out.read_text())
-    assert data["method"]["workloads"] == list(data["end_to_end"]) == expected
-    assert ran == [w for w in expected for _ in ab_bench.SIDES]
-
-
-def test_an_unknown_workload_exits_2(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exit_:
-        ab_bench.main([str(tmp_path), str(tmp_path), "--workload", "nope"])
-    assert exit_.value.code == 2
-    assert "invalid choice: 'nope'" in capsys.readouterr().err

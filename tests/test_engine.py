@@ -82,6 +82,12 @@ def test_rms_velocity_values():
         rms_velocity([])
 
 
+def test_run_of_an_empty_swarm_raises_the_rms_error():
+    # the parser requires an agent; a Scenario built directly may have none
+    with pytest.raises(NumericDomainError, match="RMS velocity of an empty swarm"):
+        run(make_scenario([]))
+
+
 def test_run_trace_shape_and_grid():
     sc = make_scenario([AgentInit(0.0, 1.0, 0.0, 0.0, 20.0),
                         AgentInit(100.0, -1.0, 0.0, 0.0, 20.0)],

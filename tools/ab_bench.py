@@ -1,14 +1,13 @@
 """Interleaved A/B runs of perfbench between two swarmform trees.
 
-    python3 tools/ab_bench.py PARENT_DIR CHANGE_DIR [--pairs 10] [--workload NAME ...]
-                              [--out BENCH_N.json]
+    python3 tools/ab_bench.py PARENT_DIR CHANGE_DIR [--pairs 10] [--out BENCH_N.json]
 
 PARENT_DIR and CHANGE_DIR are full checkouts, each in a fresh directory,
 for example made with `git archive <commit> | tar -x -C DIR`.  Pair k runs
 `perfbench/run.py --workload W --seed k --trace 0` on both trees, for every
-workload in WORKLOADS, or for those named by repeated --workload options;
-the parent runs first in odd pairs and the change first in even pairs.
-Each run uses its own tree's perfbench at that perfbench's own run length.
+workload in WORKLOADS; the parent runs first in odd pairs and the change
+first in even pairs.  Each run uses its own tree's perfbench at that
+perfbench's own run length.
 
 For every workload and end-to-end metric (names, directions and bounds
 from the parent's BENCHMARK.json) it prints the quartiles and median of
@@ -21,7 +20,7 @@ operations on that workload than the parent.  A metric breaks its bound
 when the change's median is worse than the parent's by more than the
 bound.  The exit code is 1 when a bound is broken, a run disagreed with
 its reference, or the change failed more operations than the parent on
-some workload, and 2 on a usage error such as an unknown workload.
+some workload.
 
 With --out, the `end_to_end` and `method` sections of that JSON file are
 written (other sections are kept) after every pair, so an interrupted
@@ -134,14 +133,10 @@ def main(argv=None):
     ap.add_argument("change", type=Path)
     ap.add_argument("--pairs", type=int, default=MIN_PAIRS,
                     help=f"pairs per workload; the claim rule needs at least {MIN_PAIRS}")
-    ap.add_argument("--workload", action="append", dest="workloads", choices=WORKLOADS,
-                    metavar="NAME", help="run only this workload (repeatable; default: all of "
-                                         + ", ".join(WORKLOADS) + ")")
     ap.add_argument("--out", type=Path, help="JSON file whose end_to_end section is written")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    workloads = tuple(w for w in WORKLOADS if w in (args.workloads or WORKLOADS))
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
@@ -152,8 +147,7 @@ def main(argv=None):
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "pairs": f"{args.pairs} pairs per workload; pair k runs seed S = k on both trees; the "
                  "parent runs first in odd pairs and the change first in even pairs; each pair "
-                 f"round runs the workloads in the order {', '.join(workloads)}",
-        "workloads": list(workloads),
+                 f"round runs the workloads in the order {', '.join(WORKLOADS)}",
         "statistics": "median and quartiles (linear interpolation) over the runs of each side; "
                       "change_wins counts pairs where the change reads better; the claim rule "
                       "needs at least 10 pairs, 9/10 wins, a median difference above parent_iqr "
@@ -161,10 +155,10 @@ def main(argv=None):
         "harness": "tools/ab_bench.py",
     }
 
-    runs = {w: {s: [] for s in SIDES} for w in workloads}
+    runs = {w: {s: [] for s in SIDES} for w in WORKLOADS}
     for k in range(1, args.pairs + 1):
         order = SIDES if k % 2 else SIDES[::-1]
-        for workload in workloads:
+        for workload in WORKLOADS:
             for side in order:
                 t0 = time.perf_counter()
                 result = run_once(trees[side], workload, k)
