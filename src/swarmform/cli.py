@@ -30,11 +30,15 @@ from .output import format_short
 from .plant import PlantParams
 
 
+# the keys `gains` takes as options, each named by the key's last segment
+GAINS_KEYS = scen._keys("plant") + scen._keys("poles") + ["interaction.k1"]
+
+
 def cmd_gains(args):
-    plant = PlantParams(args.kp, args.kd, args.g)
-    spec = PoleSpec(args.rl, args.iml, args.imr)
-    poles = poles_from_spec(spec)
-    gains = place_gains(plant, poles, k1=args.k1)
+    e = scen._Entries({k: v for k in GAINS_KEYS if (v := getattr(args, k)) is not None})
+    plant = PlantParams(*map(e.value, scen._keys("plant")))
+    poles = poles_from_spec(PoleSpec(*map(e.value, scen._keys("poles"))))
+    gains = place_gains(plant, poles, k1=e.value("interaction.k1"))
     desired = desired_polynomial(poles)
     closed = closed_loop_polynomial(plant, gains)
     residual = max(abs(c - d) / max(1.0, abs(d)) for c, d in zip(closed, desired))
@@ -94,11 +98,8 @@ def _print_outcome(metrics, indent=""):
 
 
 def cmd_run(args):
-    overrides = {}
-    if args.dt is not None:
-        overrides["sim.dt"] = args.dt
-    if args.t_end is not None:
-        overrides["sim.t_end"] = args.t_end
+    overrides = {k: v for k, v in (("sim.dt", args.dt), ("sim.t_end", args.t_end))
+                 if v is not None}
     scenario = scen.parse_scenario_with(_load_scenario(args.scenario), overrides)
     Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the run
     trace, metrics = engine.run(scenario)
@@ -149,13 +150,13 @@ def cmd_sweep(args):
     if not scen.is_scalar_key(args.param):
         raise SwarmformError(f"parameter {args.param!r} is not sweepable "
                              "(must be a scalar scenario key, e.g. interaction.c_max)")
-    if args.steps < 1:
-        raise SwarmformError("--steps must be >= 1")
+    start, stop = scen.convert("--from", args.start), scen.convert("--to", args.stop)
+    steps = scen.convert("--steps", args.steps, int, "> 0")
     text = _load_scenario(args.scenario)
     if args.out:  # an unusable --out fails before the runs
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         open(args.out, "a").close()
-    values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
+    values = [float(v) for v in np.linspace(start, stop, steps)]
     tasks = [(text, args.param, v) for v in values]
 
     workers = min(len(tasks), os.cpu_count() or 1)
@@ -189,20 +190,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gains", help="synthesise feedback gains")
-    p.add_argument("--kp", type=float, required=True, help="angle-loop gain (1/s)")
-    p.add_argument("--kd", type=float, required=True, help="rate-loop gain (1/s)")
-    p.add_argument("--g", type=float, required=True, help="gravity (m/s^2)")
-    p.add_argument("--rl", type=float, required=True, help="damped-pair real part (>= 0)")
-    p.add_argument("--iml", type=float, required=True, help="damped-pair imaginary part")
-    p.add_argument("--imr", type=float, required=True, help="undamped-pair imaginary part (> 0)")
-    p.add_argument("--k1", type=float, default=None, help="interaction stiffness override")
+    for key in GAINS_KEYS:
+        _, default, _, meaning = scen.KEYS[key]
+        p.add_argument("--" + scen._field(key), dest=key, metavar=key,
+                       required=default is scen.REQUIRED, help=meaning)
     p.set_defaults(func=cmd_gains)
 
     p = sub.add_parser("run", help="run one scenario file")
     p.add_argument("scenario", help="scenario file path")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--dt", type=float, default=None, help="override sim.dt")
-    p.add_argument("--t-end", type=float, default=None, dest="t_end", help="override sim.t_end")
+    p.add_argument("--dt", help="override sim.dt")
+    p.add_argument("--t-end", dest="t_end", help="override sim.t_end")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="run a scenario under several variants")
@@ -215,9 +213,9 @@ def build_parser():
     p = sub.add_parser("sweep", help="sweep one scalar scenario parameter")
     p.add_argument("scenario", help="scenario file path")
     p.add_argument("--param", required=True, help="dotted scenario key, e.g. interaction.c_max")
-    p.add_argument("--from", type=float, required=True, dest="start", help="first value")
-    p.add_argument("--to", type=float, required=True, dest="stop", help="last value")
-    p.add_argument("--steps", type=int, required=True, help="number of values")
+    p.add_argument("--from", required=True, dest="start", help="first value")
+    p.add_argument("--to", required=True, dest="stop", help="last value")
+    p.add_argument("--steps", required=True, help="number of values")
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_sweep)
 

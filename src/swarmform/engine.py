@@ -450,6 +450,8 @@ def delta_rms(trace):
     stretch afterwards in which every command is zero, every pair is
     uncoupled and every tilt has settled.  A trace without any overlap
     compares its first and last windows instead (zero for free flight).
+    The result is undefined, with a reason, when a window's RMS velocity
+    is not finite.
     """
     sample_dt = trace.dt * trace.stride
     n_pre = max(1, int(round(PRE_WINDOW / sample_dt)))
@@ -489,6 +491,8 @@ def delta_rms(trace):
 
 
 def _finish(before, after):
+    if not (math.isfinite(before) and math.isfinite(after)):
+        return DeltaRmsResult(None, before, after, "RMS velocity of a window is not finite")
     if before <= 0.0:
         return DeltaRmsResult(None, before, after, "pre-interaction RMS velocity is zero")
     return DeltaRmsResult(abs(after - before) / before, before, after)

@@ -13,7 +13,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericDomainError
 from .scenario import _fmt, _keys, _values
 
 
@@ -109,7 +109,8 @@ def render_svg(trace, columns, title=""):
     """Line chart of the selected trace columns against time.
 
     Adds dashed vertical markers where any coupling indicator in the trace
-    rises (coupling) or falls (uncoupling).
+    rises (coupling) or falls (uncoupling).  A selected column holding a
+    non-finite value is a NumericDomainError naming it.
     """
     if not columns:
         raise ConfigurationError(
@@ -121,6 +122,9 @@ def render_svg(trace, columns, title=""):
 
     t = trace.column("t")
     series = [trace.column(name) for name in columns]
+    for name, s in zip(columns, series):
+        if not np.isfinite(s).all():
+            raise NumericDomainError(f"trace column {name!r} is not finite and cannot be plotted")
     x0, x1 = float(t[0]), float(t[-1])
     if x1 <= x0:
         x1 = x0 + 1.0

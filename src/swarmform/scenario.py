@@ -2,10 +2,11 @@
 
 A scenario is flat ``key = value`` text with dotted keys, one setting per
 line, ``#`` comments allowed.  Every key is a row of ``KEYS`` below, which
-gives its type, default and bound; a text key's type is a string enum
-whose values are the ones it accepts (``interaction.variant``,
-``command[m].kind``).  Parsing, serialisation, the report and
-``is_scalar_key`` all read that table.
+gives its type, default, bound and meaning; a text key's type is a string
+enum whose values are the ones it accepts (``interaction.variant``,
+``command[m].kind``).  Parsing, serialisation, the report,
+``is_scalar_key`` and the command line all read that table, and
+``convert`` reads every value, from a file or the command line.
 
 Either all of ``poles.*`` or all of ``gains.*`` give the feedback gains.
 Agent, edge and command indices must each be contiguous from 0.  Every
@@ -33,40 +34,41 @@ class CommandKind(str, enum.Enum):
         return self.value
 
 
-# Every scenario key: (type, default or REQUIRED, bound), the bound being
-# "> 0", ">= 0" or None.  "[]" stands for an agent, edge or command index.
-# Within a group the keys are in the order the parser unpacks them and the
-# serialiser writes them; a sim.* or interaction.* key sets the Scenario
-# field of its last name.
+# Every scenario key: (type, default or REQUIRED, bound, meaning), the bound
+# being "> 0", ">= 0" or None.  "[]" stands for an agent, edge or command
+# index.  Within a group the keys are in the order the parser unpacks them
+# and the serialiser writes them; a sim.* or interaction.* key sets the
+# Scenario field of its last name.  `swarmform gains` takes its options
+# from the plant.*, poles.* and interaction.k1 rows.
 KEYS = {
-    "plant.kp": (float, REQUIRED, "> 0"),        # angle-loop gain (1/s)
-    "plant.kd": (float, REQUIRED, "> 0"),        # rate-loop gain (1/s)
-    "plant.g": (float, REQUIRED, "> 0"),         # gravity (m/s^2)
-    "poles.rl": (float, REQUIRED, ">= 0"),       # damped pair at -rl +/- i*iml
-    "poles.iml": (float, REQUIRED, None),
-    "poles.imr": (float, REQUIRED, "> 0"),       # undamped pair at +/- i*imr
-    "gains.kpos": (float, REQUIRED, None),       # explicit gains instead of poles.*
-    "gains.kvel": (float, REQUIRED, None),
-    "gains.ktilt": (float, REQUIRED, None),
-    "gains.krate": (float, REQUIRED, None),
-    "sim.dt": (float, 0.001, "> 0"),             # integration step (s)
-    "sim.t_end": (float, 40.0, "> 0"),           # duration (s)
-    "sim.stride": (int, 10, "> 0"),              # trace sampling stride
-    "interaction.variant": (InteractionVariant, REQUIRED, None),  # force law
-    "interaction.c_max": (float, REQUIRED, "> 0"),  # commanded-tilt saturation (rad)
-    "interaction.d_t": (float, REQUIRED, "> 0"),    # coupling distance (m)
-    "interaction.eps": (float, REQUIRED, "> 0"),    # switching half-width (m)
-    "interaction.k1": (float, None, None),       # stiffness; None: k_pos
-    "agent[].pos": (float, REQUIRED, None),      # initial position (m)
-    "agent[].vel": (float, REQUIRED, None),      # initial velocity (m/s)
-    "agent[].tilt": (float, 0.0, None),          # initial tilt (rad)
-    "agent[].rate": (float, 0.0, None),          # initial tilt rate (rad/s)
-    "agent[].radius": (float, REQUIRED, "> 0"),  # interaction radius (m)
-    "edge[].a": (int, REQUIRED, None),           # coupled pair (formation graph)
-    "edge[].b": (int, REQUIRED, None),
-    "command[].t": (float, REQUIRED, None),      # scheduled time, in [0, t_end]
-    "command[].kind": (CommandKind, REQUIRED, None),  # what the command does
-    "command[].edge": (int, REQUIRED, None),     # edge the command acts on
+    "plant.kp": (float, REQUIRED, "> 0", "angle-loop gain (1/s)"),
+    "plant.kd": (float, REQUIRED, "> 0", "rate-loop gain (1/s)"),
+    "plant.g": (float, REQUIRED, "> 0", "gravity (m/s^2)"),
+    "poles.rl": (float, REQUIRED, ">= 0", "damped pair at -rl +/- i*iml"),
+    "poles.iml": (float, REQUIRED, None, "imaginary part of the damped pair"),
+    "poles.imr": (float, REQUIRED, "> 0", "undamped pair at +/- i*imr"),
+    "gains.kpos": (float, REQUIRED, None, "position gain, instead of poles.*"),
+    "gains.kvel": (float, REQUIRED, None, "velocity gain"),
+    "gains.ktilt": (float, REQUIRED, None, "tilt gain"),
+    "gains.krate": (float, REQUIRED, None, "tilt-rate gain"),
+    "sim.dt": (float, 0.001, "> 0", "integration step (s)"),
+    "sim.t_end": (float, 40.0, "> 0", "duration (s)"),
+    "sim.stride": (int, 10, "> 0", "trace sampling stride"),
+    "interaction.variant": (InteractionVariant, REQUIRED, None, "force law"),
+    "interaction.c_max": (float, REQUIRED, "> 0", "commanded-tilt saturation (rad)"),
+    "interaction.d_t": (float, REQUIRED, "> 0", "coupling distance (m)"),
+    "interaction.eps": (float, REQUIRED, "> 0", "switching half-width (m)"),
+    "interaction.k1": (float, None, None, "interaction stiffness (rad/m); default k_pos"),
+    "agent[].pos": (float, REQUIRED, None, "initial position (m)"),
+    "agent[].vel": (float, REQUIRED, None, "initial velocity (m/s)"),
+    "agent[].tilt": (float, 0.0, None, "initial tilt (rad)"),
+    "agent[].rate": (float, 0.0, None, "initial tilt rate (rad/s)"),
+    "agent[].radius": (float, REQUIRED, "> 0", "interaction radius (m)"),
+    "edge[].a": (int, REQUIRED, None, "one agent of a coupled pair (formation graph)"),
+    "edge[].b": (int, REQUIRED, None, "the other agent of the pair"),
+    "command[].t": (float, REQUIRED, None, "scheduled time (s), in [0, t_end]"),
+    "command[].kind": (CommandKind, REQUIRED, None, "what the command does"),
+    "command[].edge": (int, REQUIRED, None, "edge the command acts on"),
 }
 
 
@@ -166,12 +168,33 @@ def parse_scenario(text):
 
 
 def parse_scenario_with(text, overrides):
-    """Parse with key overrides applied on top of the file's entries (used
-    for command-line --dt/--t-end style adjustments and parameter sweeps)."""
+    """Parse with key overrides, texts or values, applied on top of the
+    file's entries (used for command-line --dt/--t-end style adjustments
+    and parameter sweeps)."""
     entries = read_entries(text)
     for key, value in overrides.items():
         entries[key] = _fmt(value)
     return build_scenario(entries)
+
+
+def convert(name, raw, kind=float, bound=None):
+    """The text raw read as kind (float, int or a text key's enum), finite
+    if a float and within bound, else a ScenarioError naming name.  Every
+    number from a scenario file or the command line is read here."""
+    try:
+        if "_" in raw and kind in (float, int):  # both would read 6_0 as 60
+            raise ValueError(raw)
+        value = kind(raw)
+    except ValueError:
+        if issubclass(kind, enum.Enum):
+            names = ", ".join(v.value for v in kind)
+            raise ScenarioError(f"{name}: unknown value {raw!r} (one of: {names})")
+        raise ScenarioError(f"{name}: not {'a number' if kind is float else 'an integer'}: {raw!r}")
+    if kind is float and not math.isfinite(value):
+        raise ScenarioError(f"{name}: must be finite, got {raw!r}")
+    if bound and not (value > 0 if bound == "> 0" else value >= 0):
+        raise ScenarioError(f"{name}: must be {bound}, got {value}")
+    return value
 
 
 class _Entries:
@@ -186,26 +209,12 @@ class _Entries:
         return self.entries.pop(key)
 
     def value(self, key):
-        """The value of a key, or its default when absent, converted by its
-        type in KEYS and checked against its bound."""
-        kind, default, bound = _row(key)
+        """The value of a key, or its default when absent, read by convert
+        with its type and bound in KEYS."""
+        kind, default, bound, _ = _row(key)
         if key not in self.entries and default is not REQUIRED:
             return default
-        raw = self.take(key)
-        try:
-            if "_" in raw and kind in (float, int):  # both would read 6_0 as 60
-                raise ValueError(raw)
-            value = kind(raw)
-        except ValueError:
-            if issubclass(kind, enum.Enum):
-                names = ", ".join(v.value for v in kind)
-                raise ScenarioError(f"{key}: unknown value {raw!r} (one of: {names})")
-            raise ScenarioError(f"{key}: not {'a number' if kind is float else 'an integer'}: {raw!r}")
-        if kind is float and not math.isfinite(value):
-            raise ScenarioError(f"{key}: must be finite, got {raw!r}")
-        if bound and not (value > 0 if bound == "> 0" else value >= 0):
-            raise ScenarioError(f"{key}: must be {bound}, got {value}")
-        return value
+        return convert(key, self.take(key), kind, bound)
 
     def group_indices(self, prefix):
         """Contiguous 0..N-1 indices present for agent[i]/edge[i]/command[i]."""

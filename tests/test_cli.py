@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import swarmform
-from swarmform import engine
-from swarmform.cli import main
+from swarmform import engine, parse_scenario
+from swarmform.cli import GAINS_KEYS, main
 
 from conftest import SCENARIOS
 
@@ -228,19 +228,24 @@ def test_run_divergent_scenario_exits_3(tmp_path, capsys):
     assert "abort" in capsys.readouterr().err
 
 
-def non_finite_command_text():
-    """two_agent_repulsion with both agents at pos = vel = 1.7e308: the
-    corrected positions overflow, so the first command is nan."""
+def repulsion_text(*changes):
+    """two_agent_repulsion with each (old, new) line replaced."""
     text = (SCENARIOS / "two_agent_repulsion.cfg").read_text()
-    for old, new in (("sim.t_end = 40.0", "sim.t_end = 0.5"),
-                     ("command[0].t = 29.0", "command[0].t = 0.4"),
-                     ("agent[0].pos = 50.0", "agent[0].pos = 1.7e308"),
-                     ("agent[0].vel = -1.5", "agent[0].vel = 1.7e308"),
-                     ("agent[1].pos = 0.0", "agent[1].pos = 1.7e308"),
-                     ("agent[1].vel = 3.0", "agent[1].vel = 1.7e308")):
+    for old, new in changes:
         assert old in text
         text = text.replace(old, new)
     return text
+
+
+def non_finite_command_text():
+    """two_agent_repulsion with both agents at pos = vel = 1.7e308: the
+    corrected positions overflow, so the first command is nan."""
+    return repulsion_text(("sim.t_end = 40.0", "sim.t_end = 0.5"),
+                          ("command[0].t = 29.0", "command[0].t = 0.4"),
+                          ("agent[0].pos = 50.0", "agent[0].pos = 1.7e308"),
+                          ("agent[0].vel = -1.5", "agent[0].vel = 1.7e308"),
+                          ("agent[1].pos = 0.0", "agent[1].pos = 1.7e308"),
+                          ("agent[1].vel = 3.0", "agent[1].vel = 1.7e308"))
 
 
 def test_run_non_finite_command_exits_3(tmp_path, capsys):
@@ -250,6 +255,78 @@ def test_run_non_finite_command_exits_3(tmp_path, capsys):
     assert rc == 3
     assert capsys.readouterr().err.startswith(
         "simulation aborted: non-finite plant input u=nan at t=0.000000 s (agent 0)")
+
+
+# Finite states whose derived columns overflow: a velocity of 1e200 m/s
+# squares to inf in the rms column, and agents at +/-1e308 m are -inf apart.
+SHORT_REPULSION = (("sim.t_end = 40.0", "sim.t_end = 0.05"),
+                   ("command[0].t = 29.0", "command[0].t = 0.04"))
+HUGE_VELOCITY = (("agent[0].vel = -1.5", "agent[0].vel = 1e200"),)
+HUGE_SEPARATION = (("agent[0].pos = 50.0", "agent[0].pos = 1e308"),
+                   ("agent[1].pos = 0.0", "agent[1].pos = -1e308"))
+
+
+@pytest.mark.parametrize("changes, column", [(HUGE_VELOCITY, "rms"),
+                                             (HUGE_SEPARATION, "pair0_d")],
+                         ids=["huge_velocity", "huge_separation"])
+def test_run_refuses_to_plot_a_non_finite_column(tmp_path, capsys, changes, column):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(repulsion_text(*SHORT_REPULSION, *changes))
+    rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: trace column {column!r} is not finite and cannot be plotted\n")
+
+
+def test_delta_rms_is_undefined_when_a_window_rms_is_not_finite():
+    _, metrics = engine.run(parse_scenario(repulsion_text(*SHORT_REPULSION, *HUGE_VELOCITY)))
+    assert metrics.rms_before == metrics.rms_after == float("inf")
+    assert metrics.delta_rms is None
+    assert metrics.delta_reason == "RMS velocity of a window is not finite"
+
+
+# --- numeric options --------------------------------------------------------------
+
+def _with(argv, option, value):
+    """argv with the value that follows option replaced."""
+    i = argv.index(option) + 1
+    return argv[:i] + [value] + argv[i + 1:]
+
+
+GAINS = ["gains", "--kp", "6", "--kd", "25", "--g", "9.8", "--rl", "12", "--iml", "0.1",
+         "--imr", "0.55", "--k1", "0.5"]
+RUN = ["run", DEFAULT, "--out", "OUT", "--dt", "0.001", "--t-end", "1"]
+SWEEP = ["sweep", DEFAULT, "--param", "interaction.c_max", "--from", "0.05", "--to", "0.05",
+         "--steps", "1"]
+# every numeric option: (a valid command line, the option, the name its errors give)
+NUMERIC_OPTIONS = ([(GAINS, "--" + key.rpartition(".")[2], key) for key in GAINS_KEYS]
+                   + [(RUN, "--dt", "sim.dt"), (RUN, "--t-end", "sim.t_end")]
+                   + [(SWEEP, option, option) for option in ("--from", "--to", "--steps")])
+
+
+@pytest.mark.parametrize("value", ["1_0", "nan", "abc"])
+@pytest.mark.parametrize("argv, option, name", NUMERIC_OPTIONS,
+                         ids=[f"{argv[0]}{option}" for argv, option, _ in NUMERIC_OPTIONS])
+def test_every_numeric_option_reads_as_a_scenario_value(argv, option, name, value, tmp_path,
+                                                         capsys, no_run):
+    out = tmp_path / "o"
+    argv = [str(out) if a == "OUT" else a for a in _with(argv, option, value)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name}: ") and repr(value) in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_with(GAINS, "--k1", "inf"), "interaction.k1: must be finite, got 'inf'"),
+    (_with(GAINS, "--g", "0"), "plant.g: must be > 0, got 0.0"),
+    (_with(SWEEP, "--from", "nan"), "--from: must be finite, got 'nan'"),
+    (_with(SWEEP, "--steps", "0"), "--steps: must be > 0, got 0"),
+], ids=["gains--k1-inf", "gains--g-0", "sweep--from-nan", "sweep--steps-0"])
+def test_numeric_options_name_their_key(argv, message, capsys, no_run):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # --- compare --------------------------------------------------------------------
@@ -357,6 +434,17 @@ def test_sweep_invalid_values_reported_per_row(tmp_path, capsys):
     rows = _rows(out)
     assert rows[0][1] == "ok"
     assert rows[1][1].startswith("error:") and rows[2][1].startswith("error:")
+
+
+def test_sweep_value_outside_its_key_bound_is_an_error_row(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SHORT.replace("sim.t_end = 16.0", "sim.t_end = 1.0"))
+    rc = main(["sweep", str(cfg), "--param", "interaction.c_max",
+               "--from", "0", "--to", "0.05", "--steps", "2"])
+    assert rc == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [r[:2] for r in rows] == [["0", "error: interaction.c_max: must be > 0; got 0.0"],
+                                     ["0.05", "ok"]]
 
 
 def test_sweep_reports_a_non_finite_command_as_an_abort_row(tmp_path, capsys):

@@ -14,9 +14,9 @@ from swarmform import (AgentInit, Command, ConfigurationError, InteractionVarian
                        parse_scenario, parse_scenario_with, render_svg, run,
                        serialize_scenario, step, write_report, write_trace)
 from swarmform import cli, output
-from swarmform.scenario import is_scalar_key
+from swarmform.scenario import KEYS, REQUIRED, is_scalar_key
 
-from conftest import SCENARIOS, scenario_text
+from conftest import REPO, SCENARIOS, scenario_text
 
 MINIMAL = """
 plant.kp = 6.0
@@ -297,6 +297,41 @@ def test_is_scalar_key():
     assert not is_scalar_key("agent[00].vel")
     with pytest.raises(ScenarioError, match=r"agent\[01\]\.vel: unknown key"):
         parse_scenario(MINIMAL + "agent[01].vel = 1.0\n")
+
+
+def readme_key_table():
+    """The rows of README's "Scenario files" key table as (key, type,
+    default, bound) in KEYS terms, one per key: a row naming several keys
+    (`gains.kpos`, `.kvel`, ...) gives one for each, and `agent[i]`,
+    `edge[k]` and `command[m]` read as KEYS's `[]`."""
+    text = (REPO / "README.md").read_text()
+    section = text.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        names, _, kind, default, bound = (cell.strip() for cell in line.strip("|").split("|"))
+        first, *more = re.findall(r"`([^`]+)`", names)
+        group = first.rpartition(".")[0]
+        kind = {"real": float, "integer": int}.get(kind) or set(re.findall(r"`([^`]+)`", kind))
+        if default != REQUIRED:
+            try:
+                default = float(default)
+            except ValueError:
+                default = None  # described in words: an absent optional value
+        for name in [first] + [group + m if m.startswith(".") else m for m in more]:
+            rows.append((re.sub(r"\[[ikm]\]", "[]", name), kind, default, bound or None))
+    return rows
+
+
+def test_readme_key_table_matches_keys():
+    rows = readme_key_table()
+    assert sorted(key for key, *_ in rows) == sorted(KEYS)  # every key, each once
+    for key, kind, default, bound in rows:
+        expected, expected_default, expected_bound, _ = KEYS[key]
+        if isinstance(kind, set):  # a text key: the values its enum accepts
+            expected = {v.value for v in expected}
+        assert (kind, default, bound) == (expected, expected_default, expected_bound), key
 
 
 SHIPPED = sorted(p.stem for p in SCENARIOS.glob("*.cfg"))
