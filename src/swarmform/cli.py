@@ -69,22 +69,27 @@ def _load_scenario(path):
 
 def _write_outputs(out_dir, trace, metrics, scenario):
     """Write the run's files into the existing directory out_dir and return
-    their names."""
+    their names.
+
+    Both plots are rendered before any file is written, so a run that
+    render_svg refuses leaves the directory empty; report.txt is written
+    last, so its presence means a complete run.
+    """
     out = Path(out_dir)
-    (out / "trace.csv").write_text(output.write_trace(trace))
-    (out / "report.txt").write_text(output.write_report(metrics, scenario))
     vel_cols = [f"agent{i}_vel" for i in range(trace.n_agents)] + ["rms"]
-    (out / "velocities.svg").write_text(
-        output.render_svg(trace, vel_cols, title="agent velocities and swarm RMS"))
-    written = ["trace.csv", "report.txt", "velocities.svg"]
+    plots = {"velocities.svg": output.render_svg(trace, vel_cols,
+                                                 title="agent velocities and swarm RMS")}
     # declared edges, else the first monitored couple; a lone agent has no pair slot
     n_dist = len(scenario.edges) or min(1, len(trace.slots))
     if n_dist:
         dist_cols = [f"pair{k}_d" for k in range(n_dist)]
-        (out / "distances.svg").write_text(
-            output.render_svg(trace, dist_cols, title="pair separations"))
-        written.append("distances.svg")
-    return written
+        plots["distances.svg"] = output.render_svg(trace, dist_cols, title="pair separations")
+    names = list(plots)
+    for name in names:  # popped, so no SVG text is held while the trace is formatted
+        (out / name).write_text(plots.pop(name))
+    (out / "trace.csv").write_text(output.write_trace(trace))
+    (out / "report.txt").write_text(output.write_report(metrics, scenario))
+    return ["trace.csv", "report.txt", *names]
 
 
 def _print_outcome(metrics, indent=""):

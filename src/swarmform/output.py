@@ -5,10 +5,18 @@ identical runs produce byte-identical files and golden-file regression is
 the same thing as numerical regression.  Floats are written with 17
 significant digits, which round-trips IEEE doubles exactly; event times
 take the 12 of format_short.
+
+The simulation is single-threaded, and so is every writer but one:
+write_trace formats a trace of at least 2 * FORK_VALUES values in row
+blocks, one per core, all but the first in forked child processes, and
+joins the blocks in row order.  The text does not depend on the number of
+blocks, and no child outlives the call.
 """
 
 import html
 import math
+import os
+import threading
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -17,17 +25,103 @@ from .errors import ConfigurationError, NumericDomainError
 from .scenario import _fmt, _keys, _values
 
 
+# Values (rows x columns) each block holds at least, so a trace is cut in
+# two from 300 000 values: the lattice_swarm (347 694) and dense_trace
+# (640 016) traces of perfbench are, the 4001-row traces of the shipped
+# scenarios (64 016 and 108 027) are not.  write_trace of the first rows of
+# the dense_trace input (16 columns), median time of 2 blocks over that of
+# 1, alternating runs (9-21 of each), same process, Python 3.11.7, 2-vCPU
+# x86-64 VM; the range spans 5-9 series taken over an hour, as the host's
+# second core came and went:
+#   values    50-64 k    96-128 k   192-200 k  256-320 k  384-400 k  640 k
+#   2 / 1     0.60-1.39  0.55-1.26  0.56-1.12  0.57-0.68  0.54-0.68  0.57-0.73
+FORK_VALUES = 150_000
+
+
+def _blocks(values):
+    """How many blocks write_trace cuts a trace of `values` values into:
+    one per core the process may run on, each of at least FORK_VALUES
+    values.  One where there is no fork or core count (not Linux), or while
+    another thread runs: a forked child gets only the calling thread, and
+    could find a lock that another thread held."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), values // FORK_VALUES))
+
+
+def _rows(data, fmt):
+    """The CSV lines of the rows of `data`, one string each.  One row's
+    Python floats at a time: a whole-block .tolist() would hold rows x
+    columns float objects at once and raise the peak RSS."""
+    return [fmt % tuple(r.tolist()) for r in data]
+
+
 def write_trace(trace):
-    """Render a Trace as CSV text (header + one row per sample)."""
-    row = ",".join(["%.17g"] * trace.data.shape[1]) + "\n"
-    # one row's Python floats at a time: a whole-trace .tolist() holds
-    # rows x columns float objects at once and raises the peak RSS.  Blocks
-    # of 256 rows formatted by one % call each run about 10 % faster alone,
-    # but under perfbench's dense_trace they raised peak_rss_mb from 107-110
-    # to 115-120 MB (large block strings in place of small pymalloc row
-    # strings) for 0-4 % in steps/s; measure peak RSS before trying them again
-    return "".join([",".join(trace.columns) + "\n",
-                    *[row % tuple(r.tolist()) for r in trace.data]])
+    """Render a Trace as CSV text (header + one row per sample).
+
+    A trace of at least 2 * FORK_VALUES values is cut into contiguous row
+    blocks, one per core (_blocks).  The calling process formats the first
+    block; each other block is formatted by a forked child, which writes
+    it to a pipe as ASCII and exits.  The blocks are joined in row order,
+    so the text is the same however many blocks there are.  A child that
+    fails, or sends fewer lines than its block has, has its block
+    formatted by the caller instead, and no child outlives the call.
+    """
+    data = trace.data
+    fmt = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    n = _blocks(data.size)
+    cuts = [len(data) * i // n for i in range(n + 1)]
+    children = []  # (pid, read end, first row, end row) of each unreaped child
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                # the whole block is formatted before the first write, so a
+                # full pipe never stalls the child while the caller is busy
+                status = 1
+                try:
+                    block = "".join(_rows(data[lo:hi], fmt)).encode("ascii")
+                    with open(w, "wb") as f:
+                        f.write(block)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, open(r, "rb", buffering=0), lo, hi))
+        # The caller's rows are joined, and their list dropped, before any
+        # child's text is read; each child's text stays in the strings of its
+        # pipe reads until the one join.  On the dense_trace input (40 001
+        # rows, an 11.1 MB CSV) a fresh process's max RSS rises 40.0 -> 56.7
+        # MB across one call in 2 blocks, 40.0 -> 62.0 MB in 1.  Appending
+        # each read to one growing str instead gave 57.9 MB, but the first
+        # call took 0.7-0.8 s, not 0.3: the allocator copied the str on most
+        # of its ~85 growths (180 000 page faults against 7 500)
+        parts = ["".join([",".join(trace.columns) + "\n", *_rows(data[:cuts[1]], fmt)])]
+        while children:
+            pid, f, lo, hi = children[0]
+            with f:
+                block = [chunk.decode("ascii") for chunk in iter(lambda: f.read(1 << 16), b"")]
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if (os.waitstatus_to_exitcode(status) != 0
+                    or sum(chunk.count("\n") for chunk in block) != hi - lo):
+                block = _rows(data[lo:hi], fmt)
+            parts += block
+        return "".join(parts)
+    finally:
+        if children:  # an exception is unwinding the call: stop and reap the rest
+            import signal  # here, not at import: only this path needs it
+
+            for pid, f, _, _ in children:
+                f.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def format_short(value):

@@ -1,6 +1,8 @@
 """tools/ab_bench.py: the claim rule and the bound check on hand-made runs."""
 
 import importlib.util
+import os
+import statistics
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,12 @@ def test_bound_broken_follows_the_metric_direction(better, worse):
     assert broken(worse)  # 30 % worse than the parent, past the 25 % bound
     assert not broken(2.0 - worse)  # 30 % better
     assert not broken(1.0 + (worse - 1.0) / 3)  # 10 % worse, inside the bound
+
+
+def test_host_parallelism_times_forked_busy_loops_and_leaves_no_child():
+    result = ab_bench.host_parallelism(iterations=20_000, reps=2)
+    assert result["loop_iterations"] == 20_000
+    assert len(result["speedups"]) == 2 and all(s > 0 for s in result["speedups"])
+    assert result["median"] == statistics.median(result["speedups"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

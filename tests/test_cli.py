@@ -276,6 +276,8 @@ def test_run_refuses_to_plot_a_non_finite_column(tmp_path, capsys, changes, colu
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: trace column {column!r} is not finite and cannot be plotted\n")
+    # the plots are rendered before anything is written: no trace.csv, no report.txt
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_delta_rms_is_undefined_when_a_window_rms_is_not_finite():

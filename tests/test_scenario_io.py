@@ -1,8 +1,13 @@
 """Scenario parsing/serialisation and the CSV/report/SVG writers."""
 
+import dataclasses
 import hashlib
 import itertools
+import math
+import os
 import re
+import threading
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -397,6 +402,97 @@ def test_trace_csv_deterministic():
     _, t1, _ = short_run()
     _, t2, _ = short_run()
     assert write_trace(t1) == write_trace(t2)
+
+
+# write_trace in blocks: FORK_VALUES and the core count are patched so that
+# tiny traces are cut into 1-4 blocks, all but the first formatted by forked
+# children.  After every call no child may be left: waitpid(-1) finds none.
+SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+           1e308, -1e308, 1 / 3, -1e-300)
+
+
+def tiny_trace(data):
+    """A two-agent trace (14 columns) whose samples are replaced by data."""
+    trace, _ = run(parse_scenario(MINIMAL + "sim.t_end = 0.001\n"))
+    return dataclasses.replace(trace, data=np.array(data, dtype=float).reshape(-1, 14))
+
+
+def in_blocks(trace, blocks, mp):
+    """write_trace(trace) with every value a block's worth, on `blocks` cores."""
+    mp.setattr(output, "FORK_VALUES", 1)
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(blocks)))
+    text = write_trace(trace)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return text
+
+
+def one_block(trace):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(output, "FORK_VALUES", 10**18)
+        return write_trace(trace)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 9).flatmap(lambda rows: st.lists(
+           st.one_of(st.sampled_from(SPECIAL), st.floats()), min_size=14 * rows,
+           max_size=14 * rows)),
+       st.integers(1, 4))
+def test_trace_csv_in_blocks_equals_one_block(values, blocks):
+    trace = tiny_trace(values)
+    with pytest.MonkeyPatch.context() as mp:
+        assert in_blocks(trace, blocks, mp) == one_block(trace)
+
+
+@pytest.mark.parametrize("fault", ["exits non-zero", "drops its last row"])
+def test_trace_csv_block_of_a_failed_child_is_formatted_by_the_caller(fault, monkeypatch):
+    trace = tiny_trace(np.arange(14 * 6) / 7)
+    rows, caller, calls = output._rows, os.getpid(), []
+
+    def faulty(data, fmt):
+        if os.getpid() == caller:
+            calls.append(len(data))
+            return rows(data, fmt)
+        if fault == "exits non-zero":
+            raise RuntimeError("a failing child")
+        return rows(data[:-1], fmt)
+
+    monkeypatch.setattr(output, "_rows", faulty)
+    assert in_blocks(trace, 3, monkeypatch) == one_block(trace)
+    assert calls == [2, 2, 2, 6]  # its own block, then both children's, then one_block
+
+
+def test_trace_csv_children_are_killed_when_the_caller_raises(monkeypatch):
+    trace = tiny_trace(np.arange(14 * 4) / 7)
+    rows, caller = output._rows, os.getpid()
+
+    def stalled(data, fmt):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return rows(data, fmt)
+
+    monkeypatch.setattr(output, "_rows", stalled)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        in_blocks(trace, 4, monkeypatch)
+    assert time.perf_counter() - t0 < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_trace_csv_is_one_block_while_another_thread_runs(monkeypatch):
+    trace = tiny_trace(np.arange(14 * 4) / 7)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a thread running"))
+        assert in_blocks(trace, 4, monkeypatch) == one_block(trace)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_report_schema_fixed_across_variants(default_run):

@@ -22,13 +22,22 @@ bound.  The exit code is 1 when a bound is broken, a run disagreed with
 its reference, or the change failed more operations than the parent on
 some workload.
 
-With --out, the `end_to_end` and `method` sections of that JSON file are
-written (other sections are kept) after every pair, so an interrupted
-series leaves the pairs it finished.  Uses the standard library only.
+Before the first pair and after the last, it measures the host's
+two-process speedup (host_parallelism): a pure-Python busy loop run alone
+in a forked process against two copies of it run at once, HOST_REPS times,
+as 2 x (time alone) / (time of both).  2.0 means the host gave two full
+cores, 1.0 one core shared; a gain that rests on a second core can be read
+against it.
+
+With --out, the `end_to_end`, `method` and `host_parallelism` sections of
+that JSON file are written (other sections are kept) after every pair, so
+an interrupted series leaves the pairs it finished.  Uses the standard
+library only.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -38,6 +47,8 @@ from pathlib import Path
 WORKLOADS = ("pair_encounter", "lattice_swarm", "dense_trace", "param_sweep")
 SIDES = ("parent", "change")
 MIN_PAIRS = 10  # the claim rule's pair count: nine wins in ten
+HOST_LOOP = 3_000_000  # busy-loop iterations: about 0.15 s alone on a 2-core x86-64 VM
+HOST_REPS = 5
 
 
 def run_once(tree, workload, seed):
@@ -50,6 +61,37 @@ def run_once(tree, workload, seed):
         raise RuntimeError(f"{tree}: {' '.join(cmd)} printed nothing (exit {proc.returncode}): "
                            f"{proc.stderr.strip()[-500:]}")
     return json.loads(lines[-1])
+
+
+def _busy_loops(count, iterations):
+    """Wall time of `count` pure-Python busy loops run at once, each in a
+    forked process."""
+    t0 = time.perf_counter()
+    pids = []
+    for _ in range(count):
+        pid = os.fork()
+        if pid == 0:
+            try:
+                x = 0
+                for i in range(iterations):
+                    x += i
+            finally:
+                os._exit(0)
+        pids.append(pid)
+    for pid in pids:
+        os.waitpid(pid, 0)
+    return time.perf_counter() - t0
+
+
+def host_parallelism(iterations=HOST_LOOP, reps=HOST_REPS):
+    """The host's two-process speedup, measured `reps` times: one busy loop
+    alone, then two at once, each repetition giving 2 * alone / both."""
+    speedups = []
+    for _ in range(reps):
+        alone = _busy_loops(1, iterations)
+        speedups.append(2.0 * alone / _busy_loops(2, iterations))
+    return {"speedups": speedups, "median": statistics.median(speedups),
+            "loop_iterations": iterations}
 
 
 def quartiles(values):
@@ -153,8 +195,13 @@ def main(argv=None):
                       "needs at least 10 pairs, 9/10 wins, a median difference above parent_iqr "
                       "and no more failed operations than the parent",
         "harness": "tools/ab_bench.py",
+        "host_parallelism": f"before the first pair and after the last, {HOST_REPS} times: a "
+                            f"{HOST_LOOP}-iteration pure-Python loop alone in a forked process, "
+                            "then two at once; speedup = 2 x alone / both",
     }
 
+    hosts = {"before": host_parallelism()}
+    print(f"host two-process speedup before the pairs: {hosts['before']['median']:.2f}", flush=True)
     runs = {w: {s: [] for s in SIDES} for w in WORKLOADS}
     for k in range(1, args.pairs + 1):
         order = SIDES if k % 2 else SIDES[::-1]
@@ -168,10 +215,14 @@ def main(argv=None):
                       f"correct={result['correct']} steps/s={value:.4g} "
                       f"({time.perf_counter() - t0:.0f} s)", flush=True)
         section = summarise(runs, metrics_spec)
+        if k == args.pairs:
+            hosts["after"] = host_parallelism()
+            print(f"host two-process speedup after the pairs: {hosts['after']['median']:.2f}")
         if args.out:
             data = json.loads(args.out.read_text()) if args.out.exists() else {}
             data["method"] = method
             data["end_to_end"] = section
+            data["host_parallelism"] = hosts
             args.out.write_text(json.dumps(data, indent=1) + "\n")
 
     print_table(section)
