@@ -9,13 +9,16 @@ One step advances the whole world deterministically:
      when their spheres overlap -- collision avoidance between agents that
      are not part of the formation graph).  One couple table, built once
      per WorldConstants (WorldConstants.couples), lists the couples in
-     trace-slot order.  From ARRAY_COUPLES couples on (n >= 8) the range
-     pass is one pair_geometry call on its arrays; below that crossover it
-     is a Python loop over its rows.  Either side only finds the undeclared
-     couples in contact, and one loop then applies their repulsion in
-     (i, j) order, so each agent adds its terms in the same order (edges by
-     index, then contacts by (i, j)) and both sides give bit-identical
-     commands
+     trace-slot order.  From ARRAY_COUPLES couples on (n >= 5) the range
+     pass works on its arrays: the separations are one subtraction (the d
+     of pair_geometry, bit for bit) and the contacts one comparison with
+     each couple's contact distance, which no declared couple ever passes;
+     it builds no PairGeometry and evaluates no declared edge again.  Below
+     that crossover it is a pair_geometry loop over its rows.  Either side
+     only finds the undeclared couples in contact, and one loop then
+     applies their repulsion in (i, j) order, so each agent adds its terms
+     in the same order (edges by index, then contacts by (i, j)) and both
+     sides give bit-identical commands
   3. coupling state machine of every declared edge, with any uncouple
      commands that latched this step
   4. force of each unordered pair evaluated once and applied with opposite
@@ -91,13 +94,17 @@ class WorldConstants:
     def couples(self):
         """The range pass's couple table: every agent couple i < j in the
         order of its trace slots, as rows (i, j, undeclared) and as the
-        arrays (ci, cj, radii[ci], radii[cj], undeclared mask).  Built on
+        arrays (ci, cj, r_contact).  r_contact is the contact distance
+        radii[i] + radii[j] of an undeclared couple and -inf for a declared
+        one, so that abs(d) < r_contact is the contact test of the range
+        pass and holds for no declared couple (nor for a NaN d).  Built on
         first use and kept, so each step reads it without hashing the
         edges and radii."""
         ci, cj = np.triu_indices(len(self.radii), 1)
         r = np.asarray(self.radii, dtype=float)
-        rows = tuple((i, j, (i, j) not in self.edges) for i, j in zip(ci.tolist(), cj.tolist()))
-        arrays = (ci, cj, r[ci], r[cj], np.array([free for _, _, free in rows], dtype=bool))
+        declared = set(self.edges)
+        rows = tuple((i, j, (i, j) not in declared) for i, j in zip(ci.tolist(), cj.tolist()))
+        arrays = (ci, cj, np.where([free for _, _, free in rows], r[ci] + r[cj], -np.inf))
         for a in arrays:
             a.flags.writeable = False  # shared by every step of every world with these constants
         return rows, arrays
@@ -169,15 +176,16 @@ replace = World._replace
 
 
 # Couples, n(n-1)/2, from which _controls evaluates the range pass as one
-# array call per step instead of a Python loop.  engine.run per step on a
-# line of n agents 100 m apart (switching_smooth, edges (0, 1), (2, 3), ...,
-# 4 s in steps of 2 ms), same process, alternating, best of 7, CPU time,
-# Python 3.11 and numpy 2.4, 2-core x86-64 (BENCH_14.json):
-#   n        2     3     4     5     6     7     8
-#   couples  1     3     6     10    15    21    28
-#   loop us  7.4   9.6   13.0  15.9  19.7  23.1  27.9
-#   array us 14.2  15.9  18.4  20.0  22.5  23.9  26.6
-ARRAY_COUPLES = 28
+# array subtraction and one contact comparison per step instead of a Python
+# loop.  engine.run per step on a line of n agents 100 m apart
+# (switching_smooth, edges (0, 1), (2, 3), ..., 4 s in steps of 2 ms), same
+# process, alternating, best of 7, CPU time, Python 3.11 and numpy 2.4,
+# 2-core x86-64 (tools/range_crossover.py, BENCH_20.json):
+#   n        3     4     5     6     7     8
+#   couples  3     6     10    15    21    28
+#   loop us  13.3  18.1  21.5  26.9  36.3  41.7
+#   array us 16.4  19.1  21.1  23.5  28.1  29.6
+ARRAY_COUPLES = 10
 
 
 def _controls(world, active_commands):
@@ -203,7 +211,7 @@ def _controls(world, active_commands):
         new_pairs.append(state)
         edge_d.append(geom.d)
 
-    couples, (ci, cj, r_i, r_j, undeclared) = const.couples
+    couples, (ci, cj, r_contact) = const.couples
     if len(couples) < ARRAY_COUPLES:
         contacts = []
         range_d = []
@@ -213,11 +221,11 @@ def _controls(world, active_commands):
                 contacts.append((i, j))
             range_d.append(geom.d)
     else:
+        # pair_geometry's d, elementwise, and its contact test in one comparison
         p = np.asarray(pstar)
-        geom = pair_geometry(p[ci], p[cj], r_i, r_j, d_t)
-        hit = np.flatnonzero(undeclared & (np.abs(geom.d) < geom.r_sum))
-        contacts = zip(ci[hit].tolist(), cj[hit].tolist())
-        range_d = geom.d
+        range_d = p[cj] - p[ci]
+        hit = np.flatnonzero(np.abs(range_d) < r_contact)
+        contacts = zip(ci[hit].tolist(), cj[hit].tolist()) if hit.size else ()
     for i, j in contacts:  # undeclared couples in contact, in (i, j) order
         f = force_repulsion(pair_geometry(pstar[i], pstar[j], radii[i], radii[j], d_t), prm)
         us[i] += f

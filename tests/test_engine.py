@@ -167,8 +167,44 @@ def test_array_range_pass_is_bit_identical_to_the_loop(monkeypatch, sc, digest):
     assert contact.any()
 
 
+@pytest.mark.parametrize("sc, array_side", [
+    (replace(closing_line(24, (3, 8)), t_end=1.5), True),
+    (replace(closing_line(4, (1,)), t_end=1.5), False)], ids=["lattice24", "line4"])
+def test_pair_geometry_calls_per_step(monkeypatch, sc, array_side):
+    # the array side evaluates each declared edge once, in the edge loop, and
+    # each undeclared contact once more for its repulsion; the loop side also
+    # evaluates every couple, declared ones included, in the range pass
+    calls = {"geometry": 0, "contacts": 0}
+    per_step = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def controls(*args, _controls=engine._controls):
+        before = dict(calls)
+        out = _controls(*args)
+        per_step.append({name: calls[name] - before[name] for name in calls})
+        return out
+
+    monkeypatch.setattr(engine, "pair_geometry", counting("geometry", engine.pair_geometry))
+    monkeypatch.setattr(engine, "force_repulsion", counting("contacts", engine.force_repulsion))
+    monkeypatch.setattr(engine, "_controls", controls)
+    run(sc)
+    n = len(sc.agents)
+    couples = n * (n - 1) // 2
+    assert (couples >= engine.ARRAY_COUPLES) == array_side
+    assert len(per_step) == int(round(sc.t_end / sc.dt)) + 1
+    range_pass = 0 if array_side else couples
+    assert [c["geometry"] for c in per_step] == [
+        len(sc.edges) + range_pass + c["contacts"] for c in per_step]
+    assert any(c["contacts"] for c in per_step)
+
+
 def test_lattice_trace_csv_is_pinned():
-    # 24 agents: the range pass runs as one array call per step
+    # 24 agents: the range pass runs on its arrays
     trace, _ = run(closing_line(24, (3, 8)))
     assert hashlib.sha256(write_trace(trace).encode()).hexdigest() == (
         "55fc4ffac2b25eaaadb7bb5e0636f0a3837ae5c9920ab40861ad5e938aac7495")
@@ -402,7 +438,7 @@ def test_run_with_explicit_gains():
 @st.composite
 def small_swarms(draw):
     """1-8 agents within reach of each other, random edges and uncouple
-    commands: 0-28 couples, so both sides of ARRAY_COUPLES are drawn.
+    commands: 0-28 couples, so both sides of ARRAY_COUPLES (10) are drawn.
 
     Each edge may get a command shortly after its pair, flying freely,
     would reach the coupling distance, and the switching neighbourhood is
@@ -503,7 +539,7 @@ def sampled_swarms(draw):
 
 def line_of(n, stride):
     """n agents 35 m apart, neighbours closing on each other, with edges
-    (0, 1), (2, 3), ...; at n = 8 the range pass is the array side."""
+    (0, 1), (2, 3), ...; from n = 5 the range pass is the array side."""
     agents = [AgentInit(35.0 * i, (-1) ** i * 2.0, 0.0, 0.0, 20.0) for i in range(n)]
     return make_scenario(agents, [(i, i + 1) for i in range(0, n - 1, 2)],
                          dt=0.005, t_end=1.0, stride=stride)
@@ -512,7 +548,7 @@ def line_of(n, stride):
 @settings(derandomize=True, deadline=None)
 @given(sampled_swarms())
 @example(line_of(1, 7))  # a lone agent: no pair slot
-@example(line_of(8, 3))  # ARRAY_COUPLES couples
+@example(line_of(5, 3))  # ARRAY_COUPLES couples
 def test_run_derives_t_rms_and_range_indicators_after_the_loop(sc):
     trace, _ = run(sc)
     n_steps = int(round(sc.t_end / sc.dt))
