@@ -16,13 +16,14 @@ Exit codes: 0 success, 2 usage, validation or file error, 3 simulation abort.
 import argparse
 import concurrent.futures
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from . import engine, output, scenario as scen
+from . import engine, keys, output, scenario as scen
 from .errors import ScenarioError, SimulationAbort, SwarmformError
 from .modal import (PoleSpec, closed_loop_polynomial, desired_polynomial,
                     direct_gain_formula, place_gains, poles_from_spec)
@@ -31,13 +32,13 @@ from .plant import PlantParams
 
 
 # the keys `gains` takes as options, each named by the key's last segment
-GAINS_KEYS = scen._keys("plant") + scen._keys("poles") + ["interaction.k1"]
+GAINS_KEYS = keys._keys("plant") + keys._keys("poles") + ["interaction.k1"]
 
 
 def cmd_gains(args):
     e = scen._Entries({k: v for k in GAINS_KEYS if (v := getattr(args, k)) is not None})
-    plant = PlantParams(*map(e.value, scen._keys("plant")))
-    poles = poles_from_spec(PoleSpec(*map(e.value, scen._keys("poles"))))
+    plant = PlantParams(*map(e.value, keys._keys("plant")))
+    poles = poles_from_spec(PoleSpec(*map(e.value, keys._keys("poles"))))
     gains = place_gains(plant, poles, k1=e.value("interaction.k1"))
     desired = desired_polynomial(poles)
     closed = closed_loop_polynomial(plant, gains)
@@ -152,11 +153,11 @@ def _sweep_worker(task):
 
 
 def cmd_sweep(args):
-    if not scen.is_scalar_key(args.param):
+    if not keys.is_scalar_key(args.param):
         raise SwarmformError(f"parameter {args.param!r} is not sweepable "
                              "(must be a scalar scenario key, e.g. interaction.c_max)")
-    start, stop = scen.convert("--from", args.start), scen.convert("--to", args.stop)
-    steps = scen.convert("--steps", args.steps, int, "> 0")
+    start, stop = keys.convert("--from", args.start), keys.convert("--to", args.stop)
+    steps = keys.convert("--steps", args.steps, int, "> 0")
     text = _load_scenario(args.scenario)
     if args.out:  # an unusable --out fails before the runs
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -188,17 +189,30 @@ def cmd_sweep(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes an argument starting with "-" and a
+    digit, or "-." and a digit, for a value, not an option, so that
+    "--iml -1e-1" reaches keys.convert as "--iml -0.1" does (argparse's own
+    test takes only -1 and -0.1 forms for negative numbers).  It replaces
+    argparse's private _negative_number_matcher, which _parse_optional reads
+    through .match; checked on Python 3.11."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swarmform",
         description="deterministic 1-D swarm-formation coupling simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gains", help="synthesise feedback gains")
     for key in GAINS_KEYS:
-        _, default, _, meaning = scen.KEYS[key]
-        p.add_argument("--" + scen._field(key), dest=key, metavar=key,
-                       required=default is scen.REQUIRED, help=meaning)
+        _, default, _, meaning = keys.KEYS[key]
+        p.add_argument("--" + keys._field(key), dest=key, metavar=key,
+                       required=default is keys.REQUIRED, help=meaning)
     p.set_defaults(func=cmd_gains)
 
     p = sub.add_parser("run", help="run one scenario file")

@@ -59,6 +59,7 @@ from .errors import ConfigurationError, ModelValidityWarning, NumericDomainError
 from .interaction import (InteractionParams, PairState, corrected_positions,
                           force_repulsion, pair_force, pair_geometry, saturate,
                           update_pair)
+from .keys import check_fields
 from .plant import AgentState, rk4_step
 
 TILT_LIMIT = 0.5  # rad; beyond this the small-angle model is suspect
@@ -69,7 +70,8 @@ class WorldConstants:
     """The parts of a world that no step changes, validated once when built.
 
     edges holds the declared formation edges as (a, b) agent indices with
-    a < b; radii holds one interaction radius per agent.
+    a < b; radii holds one interaction radius per agent; dt is checked
+    under its scenario key, sim.dt.
     """
 
     radii: tuple
@@ -80,8 +82,7 @@ class WorldConstants:
     dt: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigurationError(f"world dt must be > 0, got {self.dt}")
+        check_fields([("sim.dt", self.dt)])
         if self.gains.k_pos == 0:  # corrected positions divide by it
             raise ConfigurationError("corrected coordinates need k_pos != 0")
         n = len(self.radii)

@@ -26,24 +26,13 @@ an uncoupled pair that is still inside the neighbourhood from being
 recaptured before it escapes.
 """
 
-import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigurationError
+from .keys import InteractionVariant, _field, _keys, check_fields
 
 _new = tuple.__new__  # builds a named-tuple record without its __new__ frame
-
-
-class InteractionVariant(str, enum.Enum):
-    REPULSION = "repulsion"
-    ATTRACTION = "attraction"
-    SWITCHING_STEP = "switching_step"
-    SWITCHING_SMOOTH = "switching_smooth"
-
-    def __str__(self):
-        return self.value
 
 
 _SWITCHING = (InteractionVariant.SWITCHING_STEP, InteractionVariant.SWITCHING_SMOOTH)
@@ -51,7 +40,8 @@ _SWITCHING = (InteractionVariant.SWITCHING_STEP, InteractionVariant.SWITCHING_SM
 
 @dataclass(frozen=True)
 class InteractionParams:
-    """Per-pair interaction settings.
+    """Per-pair interaction settings, each field checked under the
+    interaction.* key of its name.
 
     c_max : commanded-tilt saturation (rad), > 0
     d_t   : required coupling distance (m), > 0; must stay below the summed
@@ -68,16 +58,7 @@ class InteractionParams:
     k1: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.c_max) and self.c_max > 0):
-            raise ConfigurationError(f"c_max must be finite and > 0, got {self.c_max}")
-        if not (math.isfinite(self.d_t) and self.d_t > 0):
-            raise ConfigurationError(f"d_t must be finite and > 0, got {self.d_t}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ConfigurationError(f"eps must be finite and > 0, got {self.eps}")
-        if not math.isfinite(self.k1):
-            raise ConfigurationError(f"k1 must be finite, got {self.k1}")
-        if not isinstance(self.variant, InteractionVariant):
-            raise ConfigurationError(f"unknown interaction variant {self.variant!r}")
+        check_fields((key, getattr(self, _field(key))) for key in _keys("interaction"))
 
 
 class PairGeometry(NamedTuple):

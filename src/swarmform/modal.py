@@ -18,23 +18,25 @@ finder.
 """
 
 import cmath
-import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericDomainError, SynthesisError
+from .errors import NumericDomainError, SynthesisError
+from .keys import _keys, check_fields
 
 CONJUGATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class PoleSpec:
-    """Target spectrum given as two conjugate pairs.
+    """Target spectrum given as two conjugate pairs, each field checked
+    under its scenario key, poles.rl, poles.iml and poles.imr.
 
     rl  : real part of the damped pair, >= 0 (poles at -rl +/- i*iml)
     iml : imaginary part of the damped pair
-    imr : imaginary part of the undamped pair, > 0 (poles at +/- i*imr)
+    imr : imaginary part of the undamped pair, > 0 (poles at +/- i*imr);
+          an undamped pair is what makes interactions elastic
     """
 
     rl: float
@@ -42,14 +44,7 @@ class PoleSpec:
     imr: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.rl) and self.rl >= 0):
-            raise ConfigurationError(f"pole spec rl must be finite and >= 0, got {self.rl}")
-        if not math.isfinite(self.iml):
-            raise ConfigurationError(f"pole spec iml must be finite, got {self.iml}")
-        if not (math.isfinite(self.imr) and self.imr > 0):
-            raise ConfigurationError(
-                f"pole spec imr must be finite and > 0, got {self.imr} "
-                "(an undamped pair is required for elastic interactions)")
+        check_fields(zip(_keys("poles"), astuple(self)))
 
 
 @dataclass(frozen=True)

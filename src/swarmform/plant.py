@@ -22,17 +22,19 @@ frame of the named tuple's __new__.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 from .errors import ConfigurationError, NumericDomainError
+from .keys import _keys, check_fields
 
 _new = tuple.__new__  # builds a named-tuple record without its __new__ frame
 
 
 @dataclass(frozen=True)
 class PlantParams:
-    """Physical parameters of the tilt/translation chain.
+    """Physical parameters of the tilt/translation chain, each checked
+    under its scenario key, plant.kp, plant.kd and plant.g.
 
     k_p : angle-loop gain (1/s)
     k_d : rate-loop gain (1/s)
@@ -44,10 +46,7 @@ class PlantParams:
     g: float
 
     def __post_init__(self):
-        for name in ("k_p", "k_d", "g"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ConfigurationError(f"plant parameter {name} must be finite and > 0, got {v}")
+        check_fields(zip(_keys("plant"), astuple(self)))
 
 
 class AgentState(NamedTuple):

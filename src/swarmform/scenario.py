@@ -1,103 +1,27 @@
 """Scenario configuration: parsing, validation and serialisation.
 
 A scenario is flat ``key = value`` text with dotted keys, one setting per
-line, ``#`` comments allowed.  Every key is a row of ``KEYS`` below, which
-gives its type, default, bound and meaning; a text key's type is a string
-enum whose values are the ones it accepts (``interaction.variant``,
-``command[m].kind``).  Parsing, serialisation, the report,
-``is_scalar_key`` and the command line all read that table, and
-``convert`` reads every value, from a file or the command line.
+line, ``#`` comments allowed.  Every key is a row of ``keys.KEYS``, which
+gives its type, default, bound and meaning; parsing reads every value
+through ``keys.convert``, and serialisation and the report read the same
+table.  ``KEYS``, ``REQUIRED``, ``CommandKind``, ``InteractionVariant``,
+``convert`` and ``is_scalar_key`` are importable from here too.
 
 Either all of ``poles.*`` or all of ``gains.*`` give the feedback gains.
 Agent, edge and command indices must each be contiguous from 0.  Every
 validation error names the offending key.
 """
 
-import enum
 import math
 import re
 from dataclasses import astuple, dataclass
 from itertools import zip_longest
 
 from .errors import ScenarioError, SynthesisError
-from .interaction import InteractionVariant
+from .keys import (_INDEX, KEYS, REQUIRED, CommandKind, InteractionVariant,
+                   _field, _keys, _row, convert, is_scalar_key)
 from .modal import Gains, PoleSpec, place_gains, poles_from_spec
 from .plant import PlantParams
-
-REQUIRED = "required"
-
-
-class CommandKind(str, enum.Enum):
-    UNCOUPLE = "uncouple"
-
-    def __str__(self):
-        return self.value
-
-
-# Every scenario key: (type, default or REQUIRED, bound, meaning), the bound
-# being "> 0", ">= 0" or None.  "[]" stands for an agent, edge or command
-# index.  Within a group the keys are in the order the parser unpacks them
-# and the serialiser writes them; a sim.* or interaction.* key sets the
-# Scenario field of its last name.  `swarmform gains` takes its options
-# from the plant.*, poles.* and interaction.k1 rows.
-KEYS = {
-    "plant.kp": (float, REQUIRED, "> 0", "angle-loop gain (1/s)"),
-    "plant.kd": (float, REQUIRED, "> 0", "rate-loop gain (1/s)"),
-    "plant.g": (float, REQUIRED, "> 0", "gravity (m/s^2)"),
-    "poles.rl": (float, REQUIRED, ">= 0", "damped pair at -rl +/- i*iml"),
-    "poles.iml": (float, REQUIRED, None, "imaginary part of the damped pair"),
-    "poles.imr": (float, REQUIRED, "> 0", "undamped pair at +/- i*imr"),
-    "gains.kpos": (float, REQUIRED, None, "position gain, instead of poles.*"),
-    "gains.kvel": (float, REQUIRED, None, "velocity gain"),
-    "gains.ktilt": (float, REQUIRED, None, "tilt gain"),
-    "gains.krate": (float, REQUIRED, None, "tilt-rate gain"),
-    "sim.dt": (float, 0.001, "> 0", "integration step (s)"),
-    "sim.t_end": (float, 40.0, "> 0", "duration (s)"),
-    "sim.stride": (int, 10, "> 0", "trace sampling stride"),
-    "interaction.variant": (InteractionVariant, REQUIRED, None, "force law"),
-    "interaction.c_max": (float, REQUIRED, "> 0", "commanded-tilt saturation (rad)"),
-    "interaction.d_t": (float, REQUIRED, "> 0", "coupling distance (m)"),
-    "interaction.eps": (float, REQUIRED, "> 0", "switching half-width (m)"),
-    "interaction.k1": (float, None, None, "interaction stiffness (rad/m); default k_pos"),
-    "agent[].pos": (float, REQUIRED, None, "initial position (m)"),
-    "agent[].vel": (float, REQUIRED, None, "initial velocity (m/s)"),
-    "agent[].tilt": (float, 0.0, None, "initial tilt (rad)"),
-    "agent[].rate": (float, 0.0, None, "initial tilt rate (rad/s)"),
-    "agent[].radius": (float, REQUIRED, "> 0", "interaction radius (m)"),
-    "edge[].a": (int, REQUIRED, None, "one agent of a coupled pair (formation graph)"),
-    "edge[].b": (int, REQUIRED, None, "the other agent of the pair"),
-    "command[].t": (float, REQUIRED, None, "scheduled time (s), in [0, t_end]"),
-    "command[].kind": (CommandKind, REQUIRED, None, "what the command does"),
-    "command[].edge": (int, REQUIRED, None, "edge the command acts on"),
-}
-
-
-# One index grammar for keys: a decimal integer without leading zeros.
-_INDEX = r"\[(0|[1-9]\d*)\]"
-
-
-def _row(key):
-    """The KEYS row of a concrete key (indices as digits), or None."""
-    if "[]" not in key:
-        return KEYS.get(re.sub(_INDEX, "[]", key))
-
-
-def _keys(group, index=None):
-    """The keys of one group ("plant", "agent", ...) in table order, with
-    the index filled in."""
-    prefix = group + ("." if index is None else "[].")
-    return [k.replace("[]", f"[{index}]") for k in KEYS if k.startswith(prefix)]
-
-
-def _field(key):
-    """The Scenario field a sim.* or interaction.* key sets."""
-    return key.rpartition(".")[2]
-
-
-def is_scalar_key(key):
-    """True for keys that hold a single real number (the sweepable ones)."""
-    row = _row(key)
-    return row is not None and row[0] is float
 
 
 def _fmt(value):
@@ -175,26 +99,6 @@ def parse_scenario_with(text, overrides):
     for key, value in overrides.items():
         entries[key] = _fmt(value)
     return build_scenario(entries)
-
-
-def convert(name, raw, kind=float, bound=None):
-    """The text raw read as kind (float, int or a text key's enum), finite
-    if a float and within bound, else a ScenarioError naming name.  Every
-    number from a scenario file or the command line is read here."""
-    try:
-        if "_" in raw and kind in (float, int):  # both would read 6_0 as 60
-            raise ValueError(raw)
-        value = kind(raw)
-    except ValueError:
-        if issubclass(kind, enum.Enum):
-            names = ", ".join(v.value for v in kind)
-            raise ScenarioError(f"{name}: unknown value {raw!r} (one of: {names})")
-        raise ScenarioError(f"{name}: not {'a number' if kind is float else 'an integer'}: {raw!r}")
-    if kind is float and not math.isfinite(value):
-        raise ScenarioError(f"{name}: must be finite, got {raw!r}")
-    if bound and not (value > 0 if bound == "> 0" else value >= 0):
-        raise ScenarioError(f"{name}: must be {bound}, got {value}")
-    return value
 
 
 class _Entries:

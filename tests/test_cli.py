@@ -9,7 +9,7 @@ import pytest
 
 import swarmform
 from swarmform import engine, parse_scenario
-from swarmform.cli import GAINS_KEYS, main
+from swarmform.cli import GAINS_KEYS, build_parser, main
 
 from conftest import SCENARIOS
 
@@ -306,7 +306,7 @@ NUMERIC_OPTIONS = ([(GAINS, "--" + key.rpartition(".")[2], key) for key in GAINS
                    + [(SWEEP, option, option) for option in ("--from", "--to", "--steps")])
 
 
-@pytest.mark.parametrize("value", ["1_0", "nan", "abc"])
+@pytest.mark.parametrize("value", ["1_0", "nan", "abc", "-1_0"])
 @pytest.mark.parametrize("argv, option, name", NUMERIC_OPTIONS,
                          ids=[f"{argv[0]}{option}" for argv, option, _ in NUMERIC_OPTIONS])
 def test_every_numeric_option_reads_as_a_scenario_value(argv, option, name, value, tmp_path,
@@ -325,10 +325,38 @@ def test_every_numeric_option_reads_as_a_scenario_value(argv, option, name, valu
     (_with(GAINS, "--g", "0"), "plant.g: must be > 0, got 0.0"),
     (_with(SWEEP, "--from", "nan"), "--from: must be finite, got 'nan'"),
     (_with(SWEEP, "--steps", "0"), "--steps: must be > 0, got 0"),
-], ids=["gains--k1-inf", "gains--g-0", "sweep--from-nan", "sweep--steps-0"])
+    (_with(RUN, "--dt", "-1e-3"), "sim.dt: must be > 0, got -0.001"),
+    (_with(GAINS, "--kp", "-6E0"), "plant.kp: must be > 0, got -6.0"),
+    (_with(SWEEP, "--steps", "-2e0"), "--steps: not an integer: '-2e0'"),
+], ids=["gains--k1-inf", "gains--g-0", "sweep--from-nan", "sweep--steps-0", "run--dt--1e-3",
+        "gains--kp--6E0", "sweep--steps--2e0"])
 def test_numeric_options_name_their_key(argv, message, capsys, no_run):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["-1e-1", "-2E0", "-.5e+3"])
+@pytest.mark.parametrize("argv, option, name", NUMERIC_OPTIONS,
+                         ids=[f"{argv[0]}{option}" for argv, option, _ in NUMERIC_OPTIONS])
+def test_every_numeric_option_takes_a_negative_exponent_form_as_its_value(argv, option, name,
+                                                                          value):
+    parse = build_parser().parse_args
+    before, after = vars(parse(argv)), vars(parse(_with(argv, option, value)))
+    assert [v for key, v in after.items() if v != before[key]] == [value]
+
+
+def test_gains_reads_a_negative_exponent_form_as_its_decimal_form(capsys):
+    assert main(_with(GAINS, "--iml", "-0.1")) == 0
+    decimal = capsys.readouterr()
+    assert main(_with(GAINS, "--iml", "-1e-1")) == 0
+    assert capsys.readouterr() == decimal
+
+
+def test_sweep_from_a_negative_exponent_form(short_file, capsys):
+    rc = main(["sweep", short_file, "--param", "agent[0].vel", "--from", "-2e0", "--to", "2e0",
+               "--steps", "2"])
+    assert rc == 0
+    assert [row[:2] for row in _rows(capsys.readouterr().out)] == [["-2", "ok"], ["2", "ok"]]
 
 
 # --- compare --------------------------------------------------------------------
