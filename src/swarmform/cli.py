@@ -191,15 +191,16 @@ def cmd_sweep(args):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that takes an argument starting with "-" and a
-    digit, or "-." and a digit, for a value, not an option, so that
-    "--iml -1e-1" reaches keys.convert as "--iml -0.1" does (argparse's own
-    test takes only -1 and -0.1 forms for negative numbers).  It replaces
-    argparse's private _negative_number_matcher, which _parse_optional reads
-    through .match; checked on Python 3.11."""
+    digit, "-." and a digit, or "-" and inf or nan in any case (-Infinity
+    too), for a value, not an option, so that "--iml -1e-1" reaches
+    keys.convert as "--iml -0.1" does, and "--iml -inf" as "--iml inf"
+    (argparse's own test takes only -1 and -0.1 forms for negative
+    numbers).  It replaces argparse's private _negative_number_matcher,
+    which _parse_optional reads through .match; checked on Python 3.11."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def build_parser():

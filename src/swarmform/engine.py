@@ -25,9 +25,13 @@ One step advances the whole world deterministically:
      signs to its two agents, so pair contributions cancel in the sum
   5. per-agent command sum clamped to the tilt saturation (a clipped sum no
      longer cancels, and the swarm's velocity sum drifts: velocity_sum_drift)
-  6. one Runge-Kutta step (rk4_step) per agent under the held command; the
-     first agent whose command is not finite, or whose new state is not,
-     aborts the run
+  6. one Runge-Kutta step per agent under the held command, through the
+     plant's unchecked body (bound here as rk4_step), with k_p * k_d, k_d
+     and g read once per step; the first agent whose command or state is
+     not finite, or whose new state is not, aborts the run.  One test of
+     the sum of each new state's components finds such an agent, and
+     only when it trips are the components and the agent's inputs tested
+     one by one
 
 The state after k steps is a World, an immutable named tuple that a step
 rebuilds twice through replace (World._replace, one pass over its four
@@ -60,7 +64,7 @@ from .interaction import (InteractionParams, PairState, corrected_positions,
                           force_repulsion, pair_force, pair_geometry, saturate,
                           update_pair)
 from .keys import check_fields
-from .plant import AgentState, rk4_step
+from .plant import AgentState, _rk4, check_dt
 
 TILT_LIMIT = 0.5  # rad; beyond this the small-angle model is suspect
 
@@ -83,6 +87,7 @@ class WorldConstants:
 
     def __post_init__(self):
         check_fields([("sim.dt", self.dt)])
+        check_dt(self.dt)  # the plant's contract for dt, which rk4_step's body assumes
         if self.gains.k_pos == 0:  # corrected positions divide by it
             raise ConfigurationError("corrected coordinates need k_pos != 0")
         n = len(self.radii)
@@ -175,6 +180,11 @@ class World(_WorldFields):
 # module attribute and counts its calls as engine.world_rebuilds.
 replace = World._replace
 
+# The plant's RK4 body, unchecked: WorldConstants checked dt and PlantParams
+# k_p, k_d and g once, and _integrate tests each new state.  perfbench's
+# tracer wraps this module attribute and counts its calls as plant.rk4_calls.
+rk4_step = _rk4
+
 
 # Couples, n(n-1)/2, from which _controls evaluates the range pass as one
 # array subtraction and one contact comparison per step instead of a Python
@@ -238,21 +248,24 @@ def _controls(world, active_commands):
 def _integrate(world, us):
     """Stage 6 of a step: advance every agent under its held command.
     Returns (the new world, whether a new tilt exceeds TILT_LIMIT).
-    Raises SimulationAbort with the first agent whose command the plant
-    rejects as not finite, or whose new state is not finite."""
+    Raises SimulationAbort with the first agent whose command or state is
+    not finite, or whose new state is not.  One test of each new state's
+    sum finds them all, since a non-finite input gives a non-finite new
+    state; the components and inputs are tested only when it trips (a
+    finite state whose sum overflows goes on)."""
     k, agents, _, const = world
     dt, plant = const.dt, const.plant
+    kpkd, kd, g = plant.k_p * plant.k_d, plant.k_d, plant.g
     isfinite = math.isfinite
     new_agents = []
     tilted = False
-    for idx, (s, u) in enumerate(zip(agents, us)):
-        try:
-            s2 = rk4_step(s, u, dt, plant)
-        except NumericDomainError:
-            raise SimulationAbort(world.t, idx, s, f"non-finite plant input u={u}") from None
+    for s, u in zip(agents, us):
+        s2 = rk4_step(s, u, dt, kpkd, kd, g)
         p, v, tilt, rate = s2
-        if not (isfinite(p) and isfinite(v) and isfinite(tilt) and isfinite(rate)):
-            raise SimulationAbort((k + 1) * dt, idx, s2)
+        if not isfinite(p + v + tilt + rate) and not all(map(isfinite, s2)):
+            if not (isfinite(u) and all(map(isfinite, s))):
+                raise SimulationAbort(world.t, len(new_agents), s, f"non-finite plant input u={u}")
+            raise SimulationAbort((k + 1) * dt, len(new_agents), s2)
         tilted = tilted or abs(tilt) > TILT_LIMIT
         new_agents.append(s2)
     return replace(world, k=k + 1, agents=tuple(new_agents)), tilted

@@ -15,10 +15,13 @@ The observed output is the velocity component (picked straight out of the
 trace downstream; no separate output map is materialised).
 
 Every agent is integrated on its own: rk4_step advances one AgentState by
-one classical Runge-Kutta step under a held command, and the engine calls
-it once per agent and step.  Each call checks dt and the finiteness of its
-five inputs, and builds the new state with tuple.__new__, skipping the
-frame of the named tuple's __new__.
+one classical Runge-Kutta step under a held command.  It checks dt
+(check_dt) and the finiteness of its five inputs, then runs _rk4, the
+unchecked body, which builds the new state with tuple.__new__, skipping
+the frame of the named tuple's __new__.  The engine calls _rk4 once per
+agent and step, with k_p * k_d, k_d and g read once per step: dt was
+checked once, when its WorldConstants was built, and a non-finite input
+always gives a non-finite new state, which the engine tests for.
 """
 
 import math
@@ -82,18 +85,28 @@ def rk4_step(state, u_held, dt, plant):
     discontinuous force laws upstream never change inside the stage
     evaluations.  dt must be a strictly positive int or float, and not a
     bool; a zero step is a configuration mistake, not a request for the
-    identity.
+    identity (check_dt).  The state and the command must be finite.
+    Checks its inputs, then returns _rk4 of them.
     """
+    check_dt(dt)
+    if not all(map(math.isfinite, (*state, u_held))):
+        raise NumericDomainError(f"non-finite plant input: state={state}, u={u_held}")
+    return _rk4(state, u_held, dt, plant.k_p * plant.k_d, plant.k_d, plant.g)
+
+
+def check_dt(dt):
+    """Rejects a step dt that is not a finite, strictly positive int or
+    float (a bool, a numpy scalar other than float64 and a Fraction are
+    none), with rk4_step's ConfigurationError."""
     if not (isinstance(dt, (int, float)) and dt is not True and math.isfinite(dt) and dt > 0):
         raise ConfigurationError(f"integration step dt must be > 0, got {dt!r}")
 
-    kpkd = plant.k_p * plant.k_d
-    kd = plant.k_d
-    g = plant.g
+
+def _rk4(state, u_held, dt, kpkd, kd, g):
+    """rk4_step's arithmetic, unchecked: kpkd = k_p * k_d, kd = k_d and g
+    come from the plant.  It only adds and multiplies, so a non-finite
+    state or command always gives a non-finite new state."""
     p, v, tilt, rate = state
-    if not (math.isfinite(p) and math.isfinite(v) and math.isfinite(tilt)
-            and math.isfinite(rate) and math.isfinite(u_held)):
-        raise NumericDomainError(f"non-finite plant input: state={state}, u={u_held}")
     force = kpkd * u_held
 
     # Stage derivatives, inlined for speed (this is the innermost loop of

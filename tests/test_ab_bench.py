@@ -76,3 +76,44 @@ def test_host_parallelism_times_forked_busy_loops_and_leaves_no_child():
     assert result["median"] == statistics.median(result["speedups"])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def traced(values, correct=True):
+    """One traced perfbench run's final JSON line: {name: (value, unit)}."""
+    return {"correct": correct, "failed": 0, "attempted": 1,
+            "metrics": {k: {"value": v, "unit": u} for k, (v, u) in values.items()}}
+
+
+def test_the_traced_reducer_takes_each_side_s_median_and_compares_the_counts():
+    def run(rk4_s, wall, correct=True):
+        return traced({"plant.rk4_calls": (120, "count"), "plant.rk4_s": (rk4_s, "s"),
+                       "trace.wall_s": (wall, "s")}, correct)
+
+    # the change's host ran 1.5 times slower in its second run: the times
+    # spread, their shares of the run's wall time do not
+    runs = {"parent": [run(0.30, 1.2), run(0.20, 0.8), run(0.25, 1.0)],
+            "change": [run(0.10, 1.0), run(0.15, 1.5, correct=False), run(0.12, 1.2)]}
+    section = ab_bench.summarise_traced(runs, "cmd")
+    assert section["command"] == "cmd"
+    assert section["median"] == {
+        "parent": {"plant.rk4_calls": 120, "plant.rk4_s": 0.25, "trace.wall_s": 1.0},
+        "change": {"plant.rk4_calls": 120, "plant.rk4_s": 0.12, "trace.wall_s": 1.2}}
+    assert section["median_change_rel"]["plant.rk4_calls"] == 0.0
+    assert section["median_change_rel"]["plant.rk4_s"] == pytest.approx(0.12 / 0.25 - 1.0)
+    assert section["share_of_wall"] == {"parent": {"plant.rk4_s": 0.25},
+                                        "change": {"plant.rk4_s": 0.1}}
+    assert section["runs"]["change"][1] == {"plant.rk4_calls": 120, "plant.rk4_s": 0.15,
+                                            "trace.wall_s": 1.5}
+    assert section["correct"] == {"parent": [True] * 3, "change": [True, False, True]}
+    assert section["counts_equal"]
+
+    # a count that differs in one run, on either side, is reported; a time never is
+    runs["change"][2]["metrics"]["plant.rk4_calls"]["value"] = 121
+    assert not ab_bench.summarise_traced(runs, "cmd")["counts_equal"]
+
+
+def test_a_zero_parent_median_has_no_relative_change():
+    runs = {s: [traced({"output.svg_bytes": (0, "B"), "engine.steps": (5, "count"),
+                        "trace.wall_s": (1.0, "s")})] for s in ab_bench.SIDES}
+    assert ab_bench.summarise_traced(runs, "cmd")["median_change_rel"] == {
+        "engine.steps": 0.0, "trace.wall_s": 0.0}

@@ -306,7 +306,7 @@ NUMERIC_OPTIONS = ([(GAINS, "--" + key.rpartition(".")[2], key) for key in GAINS
                    + [(SWEEP, option, option) for option in ("--from", "--to", "--steps")])
 
 
-@pytest.mark.parametrize("value", ["1_0", "nan", "abc", "-1_0"])
+@pytest.mark.parametrize("value", ["1_0", "nan", "abc", "-1_0", "-inf", "-nan", "-Infinity"])
 @pytest.mark.parametrize("argv, option, name", NUMERIC_OPTIONS,
                          ids=[f"{argv[0]}{option}" for argv, option, _ in NUMERIC_OPTIONS])
 def test_every_numeric_option_reads_as_a_scenario_value(argv, option, name, value, tmp_path,

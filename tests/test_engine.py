@@ -284,6 +284,68 @@ def test_aborts_name_the_last_agent_and_the_step_time(monkeypatch):
                               "AgentState(pos=1.71e+308, vel=2e+307, tilt=0.0, tilt_rate=0.0)")
 
 
+def _world_of(states, dt=0.001):
+    """A World built in Python from agent states: no edges, radius 20 m."""
+    sc = make_scenario([AgentInit(0.0, 0.0, 0.0, 0.0, 20.0)] * len(states), dt=dt, t_end=2 * dt)
+    w = build_world(sc)
+    return engine.replace(w, agents=tuple(AgentState(*s) for s in states)), sc
+
+
+def test_a_non_finite_old_state_aborts_as_a_plant_input(monkeypatch):
+    # agent 1's velocity is nan from the start: its corrected position is
+    # nan, so no couple is in contact and its command is a finite 0.0; the
+    # abort names it at the time of the old state, with the plant-input
+    # message, on step() and on run()
+    w, sc = _world_of([(0.0, 1.0, 0.0, 0.0), (500.0, math.nan, 0.0, 0.0)])
+    message = ("non-finite plant input u=0.0 at t=0.000000 s (agent 1): "
+               "AgentState(pos=500.0, vel=nan, tilt=0.0, tilt_rate=0.0)")
+    with pytest.raises(SimulationAbort) as err:
+        step(w)
+    assert (err.value.agent, err.value.t, str(err.value)) == (1, 0.0, message)
+    monkeypatch.setattr(engine, "build_world", lambda scenario: w)
+    with pytest.raises(SimulationAbort) as err:
+        run(sc)
+    assert (err.value.agent, err.value.t, str(err.value)) == (1, 0.0, message)
+
+
+def test_a_state_whose_sum_overflows_goes_on():
+    # every component is finite, before and after the step, but pos + vel
+    # passes the largest float
+    states = [(1.7e308, 1e307, 0.0, 0.0), (-1.7e308, -1e307, 0.0, 0.0)]
+    w, sc = _world_of(states)
+    w2 = step(w)
+    assert w2.k == 1
+    assert w2.agents == tuple(rk4_step(AgentState(*s), 0.0, sc.dt, PLANT) for s in states)
+    assert all(math.isinf(sum(s)) for s in (*states, *w2.agents))
+
+
+def test_an_overflowing_state_aborts_before_a_later_agent_s_non_finite_command(monkeypatch):
+    # agent 0's new position overflows and agent 1's command is nan in the
+    # same step: agents are visited in order, so agent 0's new state aborts
+    w, _ = _world_of([(1.79e308, 1e308, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)], dt=0.01)
+    controls = engine._controls
+
+    def nan_for_agent_1(world, active_commands):
+        us, *rest = controls(world, active_commands)
+        us[1] = math.nan
+        return (us, *rest)
+
+    monkeypatch.setattr(engine, "_controls", nan_for_agent_1)
+    with pytest.raises(SimulationAbort) as err:
+        step(w)
+    assert err.value.agent == 0 and err.value.t == 0.01
+    assert str(err.value) == ("non-finite state at t=0.010000 s (agent 0): "
+                              "AgentState(pos=inf, vel=1e+308, tilt=0.0, tilt_rate=0.0)")
+
+
+def test_a_world_takes_the_plant_s_dt_contract():
+    # a dt that sim.dt's check takes but the plant does not (not an int or
+    # float) is refused with the plant's error before any state advances
+    sc = make_scenario([AgentInit(0.0, 1.0, 0.0, 0.0, 20.0)])
+    with pytest.raises(ConfigurationError, match="integration step dt must be > 0"):
+        step(build_world(replace(sc, dt=np.float32(0.001))))
+
+
 def test_simulation_abort_survives_pickle_and_copy():
     # a pool worker's abort reaches the parent through pickle
     err = SimulationAbort(0.05, 2, AgentState(1.71e308, 2e307, 0.0, 0.0),

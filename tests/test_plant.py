@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from swarmform import (AgentState, ConfigurationError, NumericDomainError,
                        PlantParams, derivative, rk4_step)
+from swarmform.plant import _rk4
 
 PLANT = PlantParams(6.0, 25.0, 9.8)
 
@@ -182,6 +183,9 @@ def test_rk4_is_bit_identical_to_the_reference_stages(state, u, dt):
     got = rk4_step(AgentState(*state), u, dt, PLANT)
     assert type(got) is AgentState
     assert _bits(got) == _bits(_rk4_reference(state, u, dt, PLANT))
+    # the unchecked body, with the constants the engine reads once per step
+    body = _rk4(AgentState(*state), u, dt, PLANT.k_p * PLANT.k_d, PLANT.k_d, PLANT.g)
+    assert type(body) is AgentState and _bits(body) == _bits(got)
 
 
 _inputs = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(

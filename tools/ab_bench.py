@@ -31,8 +31,22 @@ against it.
 
 With --out, the `end_to_end`, `method` and `host_parallelism` sections of
 that JSON file are written (other sections are kept) after every pair, so
-an interrupted series leaves the pairs it finished.  Uses the standard
-library only.
+an interrupted series leaves the pairs it finished.
+
+    python3 tools/ab_bench.py PARENT_DIR CHANGE_DIR --traced WORKLOAD [--runs 3]
+
+runs a traced series instead: RUNS runs of `perfbench/run.py --workload
+WORKLOAD --seed 1 --trace 1` per tree, alternating as the pairs do.  One
+traced run per tree cannot show a layer's change on a noisy host; the
+median over the runs of each side can, and more so a time's share of its
+run's traced wall time (trace.wall_s), which host drift between runs
+leaves nearly unmoved.  It prints, and with --out writes into a
+`traced_<workload>` section, every layer metric's runs and median per
+side, the relative change of the medians, each time's median share of
+trace.wall_s per side, and whether every count (a metric in unit
+"count") read the same in every run of both trees.  The
+exit code is 1 when a run disagreed with its reference.  Uses the
+standard library only.
 """
 
 import argparse
@@ -49,12 +63,15 @@ SIDES = ("parent", "change")
 MIN_PAIRS = 10  # the claim rule's pair count: nine wins in ten
 HOST_LOOP = 3_000_000  # busy-loop iterations: about 0.15 s alone on a 2-core x86-64 VM
 HOST_REPS = 5
+TRACED_SEED = 1  # every run of a traced series (--traced) uses this seed
+WALL = "trace.wall_s"  # a traced iteration's wall time, the base of the time shares
 
 
-def run_once(tree, workload, seed):
-    """One untraced perfbench run in `tree`: its final JSON line."""
+def run_once(tree, workload, seed, trace=0):
+    """One perfbench run in `tree`, untraced unless trace is 1: its final
+    JSON line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--trace", "0"]
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -153,6 +170,67 @@ def summarise(runs, metrics_spec):
     return section
 
 
+def summarise_traced(runs, command):
+    """The traced_<workload> section from the traced runs of each side,
+    {side: [final JSON line, ...]}, at least one per side: per layer
+    metric, each run's value and each side's median, and each time's
+    median share of trace.wall_s (values are per traced iteration, each
+    the median over that run's iterations)."""
+    values = {s: [{k: m["value"] for k, m in r["metrics"].items()} for r in runs[s]]
+              for s in SIDES}
+    median = {s: {k: statistics.median(v[k] for v in values[s]) for k in values[s][0]}
+              for s in SIDES}
+    units = {k: m["unit"] for k, m in runs["parent"][0]["metrics"].items()}
+    counts = [k for k, u in units.items() if u == "count"]
+    times = [k for k, u in units.items() if u == "s" and k != WALL]
+    return {
+        "command": command,
+        "order": "the parent first in odd runs, the change first in even runs",
+        "note": "values per traced iteration, each the median over the run's traced "
+                "iterations; median is over the runs of each tree",
+        "correct": {s: [r["correct"] for r in runs[s]] for s in SIDES},
+        "counts_equal": all(len({v[k] for s in SIDES for v in values[s]}) == 1 for k in counts),
+        "median": median,
+        "median_change_rel": {k: c / median["parent"][k] - 1.0
+                              for k, c in median["change"].items() if median["parent"][k]},
+        "share_of_wall": {s: {k: statistics.median(v[k] / v[WALL] for v in values[s])
+                              for k in times} for s in SIDES},
+        "runs": values,
+    }
+
+
+def traced_series(trees, workload, runs):
+    """`runs` alternating traced perfbench runs per tree, on TRACED_SEED."""
+    results = {s: [] for s in SIDES}
+    for k in range(1, runs + 1):
+        for side in (SIDES if k % 2 else SIDES[::-1]):
+            t0 = time.perf_counter()
+            results[side].append(run_once(trees[side], workload, TRACED_SEED, trace=1))
+            print(f"traced run {k} {workload} {side:6s} correct={results[side][-1]['correct']} "
+                  f"({time.perf_counter() - t0:.0f} s)", flush=True)
+    return results
+
+
+def print_traced(section):
+    median, share = section["median"], section["share_of_wall"]
+    print(f"  {'layer metric':32s} {'parent median':>14s} {'change median':>14s} {'rel':>8s} "
+          f"{'share of trace.wall_s p/c':>26s}")
+    for name, p in median["parent"].items():
+        rel = section["median_change_rel"].get(name)
+        print(f"  {name:32s} {p:14.6g} {median['change'][name]:14.6g} "
+              + (f"{rel:+8.2%}" if rel is not None else f"{'':>8s}")
+              + (f" {share['parent'][name]:12.4f} {share['change'][name]:12.4f}"
+                 if name in share["parent"] else ""))
+    print(f"  counts equal in every run of both trees: {section['counts_equal']}")
+
+
+def write_sections(out, sections):
+    """Writes `sections` into the JSON file `out`, keeping its others."""
+    data = json.loads(out.read_text()) if out.exists() else {}
+    data.update(sections)
+    out.write_text(json.dumps(data, indent=1) + "\n")
+
+
 def print_table(section):
     for workload, entry in section.items():
         print(f"== {workload}: {entry['pairs']} pairs, correct {entry['correct']}, "
@@ -175,15 +253,27 @@ def main(argv=None):
     ap.add_argument("change", type=Path)
     ap.add_argument("--pairs", type=int, default=MIN_PAIRS,
                     help=f"pairs per workload; the claim rule needs at least {MIN_PAIRS}")
-    ap.add_argument("--out", type=Path, help="JSON file whose end_to_end section is written")
+    ap.add_argument("--out", type=Path, help="JSON file whose sections are written")
+    ap.add_argument("--traced", choices=WORKLOADS, metavar="WORKLOAD",
+                    help="run a traced series of this workload instead of the pairs")
+    ap.add_argument("--runs", type=int, default=3, help="traced runs per tree (--traced)")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
+    if args.pairs < 1 or args.runs < 1:
+        ap.error("--pairs and --runs must be at least 1")
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         if not (tree / "perfbench" / "run.py").exists():
             ap.error(f"{tree} has no perfbench/run.py")
+    if args.traced:
+        command = (f"python3 perfbench/run.py --workload {args.traced} --seed {TRACED_SEED} "
+                   "--trace 1, in each tree")
+        section = summarise_traced(traced_series(trees, args.traced, args.runs), command)
+        if args.out:
+            write_sections(args.out, {f"traced_{args.traced}": section})
+        print_traced(section)
+        return 0 if all(all(c) for c in section["correct"].values()) else 1
+
     metrics_spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
     method = {
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
@@ -219,11 +309,8 @@ def main(argv=None):
             hosts["after"] = host_parallelism()
             print(f"host two-process speedup after the pairs: {hosts['after']['median']:.2f}")
         if args.out:
-            data = json.loads(args.out.read_text()) if args.out.exists() else {}
-            data["method"] = method
-            data["end_to_end"] = section
-            data["host_parallelism"] = hosts
-            args.out.write_text(json.dumps(data, indent=1) + "\n")
+            write_sections(args.out, {"method": method, "end_to_end": section,
+                                      "host_parallelism": hosts})
 
     print_table(section)
     broken = [f"{w}/{m}" for w, e in section.items() for m, st in e["metrics"].items()
