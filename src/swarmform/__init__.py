@@ -8,8 +8,8 @@ selected pairs at a prescribed separation, forming and releasing structures
 on command.
 """
 
-from .engine import (DeltaRmsResult, Metrics, Trace, World, WorldConstants,
-                     build_world, delta_rms, rms_velocity, run, step)
+from .engine import (Metrics, Trace, World, WorldConstants, build_world,
+                     delta_rms, rms_velocity, run, step)
 from .errors import (ConfigurationError, ModelValidityWarning,
                      NumericDomainError, ScenarioError, SimulationAbort,
                      SwarmformError, SynthesisError)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentInit", "AgentState", "Command", "ConfigurationError",
-    "DeltaRmsResult", "Gains", "InteractionParams",
+    "Gains", "InteractionParams",
     "InteractionVariant", "Metrics", "ModelValidityWarning",
     "NumericDomainError", "PairGeometry", "PairState", "PlantParams",
     "PoleSpec", "Scenario", "ScenarioError", "SimulationAbort",

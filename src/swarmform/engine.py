@@ -9,13 +9,16 @@ One step advances the whole world deterministically:
      when their spheres overlap -- collision avoidance between agents that
      are not part of the formation graph).  One couple table, built once
      per WorldConstants (WorldConstants.couples), lists the couples in
-     trace-slot order.  From ARRAY_COUPLES couples on (n >= 5) the range
-     pass works on its arrays: the separations are one subtraction (the d
-     of pair_geometry, bit for bit) and the contacts one comparison with
-     each couple's contact distance, which no declared couple ever passes;
-     it builds no PairGeometry and evaluates no declared edge again.  Below
-     that crossover it is a pair_geometry loop over its rows.  Either side
-     only finds the undeclared couples in contact, and one loop then
+     trace-slot order, each with its contact distance r_contact (-inf for
+     a declared couple).  Both sides of the pass find the contacts by one
+     rule, abs(d) < r_contact, which no declared couple passes.  From
+     ARRAY_COUPLES couples on (n >= 5) the pass works on the table's
+     arrays: the separations are one subtraction (the d of pair_geometry,
+     bit for bit) and the rule one comparison; it builds no PairGeometry
+     and evaluates no declared edge again.  Below that crossover it is a
+     pair_geometry loop over the table's rows that reads d and applies the
+     rule per couple.  Either side only finds the undeclared couples in
+     contact, and one loop then
      applies their repulsion in (i, j) order, so each agent adds its terms
      in the same order (edges by index, then contacts by (i, j)) and both
      sides give bit-identical commands
@@ -74,8 +77,9 @@ class WorldConstants:
     """The parts of a world that no step changes, validated once when built.
 
     edges holds the declared formation edges as (a, b) agent indices with
-    a < b; radii holds one interaction radius per agent; dt is checked
-    under its scenario key, sim.dt.
+    a < b; radii holds one interaction radius per agent.  dt and each
+    radius are checked under their scenario keys, sim.dt and
+    agent[i].radius.
     """
 
     radii: tuple
@@ -86,7 +90,8 @@ class WorldConstants:
     dt: float
 
     def __post_init__(self):
-        check_fields([("sim.dt", self.dt)])
+        check_fields([("sim.dt", self.dt),
+                      *((f"agent[{i}].radius", r) for i, r in enumerate(self.radii))])
         check_dt(self.dt)  # the plant's contract for dt, which rk4_step's body assumes
         if self.gains.k_pos == 0:  # corrected positions divide by it
             raise ConfigurationError("corrected coordinates need k_pos != 0")
@@ -99,21 +104,21 @@ class WorldConstants:
     @cached_property
     def couples(self):
         """The range pass's couple table: every agent couple i < j in the
-        order of its trace slots, as rows (i, j, undeclared) and as the
-        arrays (ci, cj, r_contact).  r_contact is the contact distance
-        radii[i] + radii[j] of an undeclared couple and -inf for a declared
-        one, so that abs(d) < r_contact is the contact test of the range
-        pass and holds for no declared couple (nor for a NaN d).  Built on
-        first use and kept, so each step reads it without hashing the
-        edges and radii."""
+        order of its trace slots, as the arrays (ci, cj, r_contact) and as
+        the rows (i, j, r_contact) built from them.  r_contact is the
+        contact distance radii[i] + radii[j] of an undeclared couple and
+        -inf for a declared one, so that abs(d) < r_contact, the range
+        pass's one contact rule on either side, holds for no declared
+        couple (nor for a NaN d).  Built on first use and kept, so each
+        step reads it without hashing the edges and radii."""
         ci, cj = np.triu_indices(len(self.radii), 1)
         r = np.asarray(self.radii, dtype=float)
         declared = set(self.edges)
-        rows = tuple((i, j, (i, j) not in declared) for i, j in zip(ci.tolist(), cj.tolist()))
-        arrays = (ci, cj, np.where([free for _, _, free in rows], r[ci] + r[cj], -np.inf))
+        arrays = (ci, cj, np.where([c in declared for c in zip(ci.tolist(), cj.tolist())],
+                                   -np.inf, r[ci] + r[cj]))
         for a in arrays:
             a.flags.writeable = False  # shared by every step of every world with these constants
-        return rows, arrays
+        return tuple(zip(*(a.tolist() for a in arrays))), arrays
 
 
 _KEEP = object()  # World._replace's default: keep the field as it is
@@ -226,13 +231,13 @@ def _controls(world, active_commands):
     if len(couples) < ARRAY_COUPLES:
         contacts = []
         range_d = []
-        for i, j, free in couples:
-            geom = pair_geometry(pstar[i], pstar[j], radii[i], radii[j], d_t)
-            if free and abs(geom.d) < geom.r_sum:
+        for i, j, r_ij in couples:
+            d = pair_geometry(pstar[i], pstar[j], radii[i], radii[j], d_t).d
+            if abs(d) < r_ij:  # the contact rule of the array side, per couple
                 contacts.append((i, j))
-            range_d.append(geom.d)
+            range_d.append(d)
     else:
-        # pair_geometry's d, elementwise, and its contact test in one comparison
+        # pair_geometry's d, elementwise, and the contact rule in one comparison
         p = np.asarray(pstar)
         range_d = p[cj] - p[ci]
         hit = np.flatnonzero(np.abs(range_d) < r_contact)
@@ -332,14 +337,6 @@ class Trace:
     @property
     def n_rows(self):
         return self.data.shape[0]
-
-
-@dataclass(frozen=True)
-class DeltaRmsResult:
-    value: float | None
-    rms_before: float
-    rms_after: float
-    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -451,12 +448,10 @@ def run(scenario):
     # sums over the agents run left to right, as rms_velocity's; .sum(axis=1) rounds differently
     vel = trace.block("vel")
     trace.data[:, -1] = np.sqrt(sum((vel * vel).T) / n)  # rms_velocity of each row
-    dres = delta_rms(trace)
     vsums = sum(vel.T)
     drift = float(np.max(np.abs(vsums - vsums[0])))
-    metrics = Metrics(dres.rms_before, dres.rms_after, dres.value, dres.reason,
-                      tuple(coupling_events), tuple(uncoupling_events), drift)
-    return trace, metrics
+    return trace, Metrics(*delta_rms(trace), tuple(coupling_events), tuple(uncoupling_events),
+                          drift)
 
 
 SETTLED_TILT = 1e-3  # rad; tilts below this count as settled flight
@@ -472,49 +467,45 @@ def delta_rms(trace):
     stretch afterwards in which every command is zero, every pair is
     uncoupled and every tilt has settled.  A trace without any overlap
     compares its first and last windows instead (zero for free flight).
-    The result is undefined, with a reason, when a window's RMS velocity
-    is not finite.
+
+    Returns (rms_before, rms_after, delta_rms, delta_reason), the first
+    four fields of Metrics in their order: each window's mean RMS
+    velocity, their relative change and None.  The change is undefined
+    (None), with a reason, when fewer than a window of samples precede the
+    first overlap (both means NaN), when no settled window follows it
+    (rms_after NaN), when a window's RMS velocity is not finite, or when
+    the first window's is zero.
     """
     sample_dt = trace.dt * trace.stride
     n_pre = max(1, int(round(PRE_WINDOW / sample_dt)))
     n_post = max(1, int(round(POST_WINDOW / sample_dt)))
     rms = trace.column("rms")
-    n_rows = trace.n_rows
 
     overlap = (np.abs(trace.block("d")) < np.asarray(trace.slot_rsums)).any(axis=1)
 
     if not overlap.any():
         before = float(rms[:n_pre].mean())
         after = float(rms[-n_post:].mean())
-        return _finish(before, after)
+    else:
+        first = int(np.argmax(overlap))
+        if first < n_pre:
+            return math.nan, math.nan, None, f"only {first} pre-contact samples, need {n_pre}"
+        before = float(rms[first - n_pre:first].mean())
 
-    first = int(np.argmax(overlap))
-    if first < n_pre:
-        return DeltaRmsResult(None, math.nan, math.nan,
-                              f"only {first} pre-contact samples, need {n_pre}")
-    before = float(rms[first - n_pre:first].mean())
+        settled = ((trace.block("u") == 0.0).all(axis=1)
+                   & (np.abs(trace.block("tilt")) < SETTLED_TILT).all(axis=1)
+                   & (trace.block("fen") == 0.0).all(axis=1))
+        run_len = 0
+        for end in range(first, trace.n_rows):
+            run_len = run_len + 1 if settled[end] else 0
+            if run_len >= n_post:
+                break
+        else:
+            return before, math.nan, None, "no settled command-free window after the interaction"
+        after = float(rms[end - n_post + 1:end + 1].mean())
 
-    settled = ((trace.block("u") == 0.0).all(axis=1)
-               & (np.abs(trace.block("tilt")) < SETTLED_TILT).all(axis=1)
-               & (trace.block("fen") == 0.0).all(axis=1))
-
-    start = None
-    run_len = 0
-    for i in range(first, n_rows):
-        run_len = run_len + 1 if settled[i] else 0
-        if run_len >= n_post:
-            start = i - n_post + 1
-            break
-    if start is None:
-        return DeltaRmsResult(None, before, math.nan,
-                              "no settled command-free window after the interaction")
-    after = float(rms[start:start + n_post].mean())
-    return _finish(before, after)
-
-
-def _finish(before, after):
     if not (math.isfinite(before) and math.isfinite(after)):
-        return DeltaRmsResult(None, before, after, "RMS velocity of a window is not finite")
+        return before, after, None, "RMS velocity of a window is not finite"
     if before <= 0.0:
-        return DeltaRmsResult(None, before, after, "pre-interaction RMS velocity is zero")
-    return DeltaRmsResult(abs(after - before) / before, before, after)
+        return before, after, None, "pre-interaction RMS velocity is zero"
+    return before, after, abs(after - before) / before, None

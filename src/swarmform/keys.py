@@ -5,7 +5,7 @@ meaning.  A text key's type is a string enum whose values are the ones it
 accepts (``interaction.variant``, ``command[m].kind``).  ``convert`` reads
 a value's text, from a scenario file or the command line, and ``check``
 tests a typed value against a row's type and bound.  The parameter records
-(``PlantParams``, ``PoleSpec``, ``InteractionParams`` and
+(``PlantParams``, ``PoleSpec``, ``Gains``, ``InteractionParams`` and
 ``WorldConstants``) check each of their fields under its key through
 ``check_fields``, so each bound is stated here once and every error names
 the key.  This module imports nothing of the package but its errors, so
@@ -140,7 +140,8 @@ def check(name, value, kind, bound, error, raw=None):
 
 
 def check_fields(items):
-    """check each (key, value) of a parameter record under its KEYS row."""
+    """check each (key, value) of a parameter record under its KEYS row; an
+    indexed key (agent[0].radius) under its row (agent[].radius)."""
     for key, value in items:
-        kind, _, bound, _ = KEYS[key]
+        kind, _, bound, _ = _row(key)
         check(key, value, kind, bound, ConfigurationError)

@@ -50,13 +50,18 @@ class PoleSpec:
 @dataclass(frozen=True)
 class Gains:
     """State-feedback coefficients, u = -(k_pos*P + k_vel*V + k_tilt*tilt +
-    k_rate*tilt_rate), plus the pairwise interaction stiffness k1 (rad/m)."""
+    k_rate*tilt_rate), plus the pairwise interaction stiffness k1 (rad/m),
+    each field checked under its scenario key, gains.kpos, gains.kvel,
+    gains.ktilt, gains.krate and interaction.k1."""
 
     k_pos: float
     k_vel: float
     k_tilt: float
     k_rate: float
     k1: float
+
+    def __post_init__(self):
+        check_fields(zip((*_keys("gains"), "interaction.k1"), astuple(self)))
 
 
 def poles_from_spec(spec):

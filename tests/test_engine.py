@@ -6,7 +6,7 @@ import math
 import pickle
 import random
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -15,9 +15,12 @@ from hypothesis import Phase, example, find, given, settings, strategies as st
 from swarmform import (AgentState, ConfigurationError, InteractionVariant,
                        ModelValidityWarning, NumericDomainError, PairState,
                        PlantParams, PoleSpec, SimulationAbort, World,
-                       WorldConstants, build_world, delta_rms, engine, rk4_step,
-                       rms_velocity, run, step, write_trace)
+                       WorldConstants, build_world, delta_rms, engine,
+                       parse_scenario_with, rk4_step, rms_velocity, run, step,
+                       write_trace)
 from swarmform.scenario import AgentInit, Command, Scenario
+
+from conftest import scenario_text
 
 PLANT = PlantParams(6.0, 25.0, 9.8)
 POLES = PoleSpec(12.0, 0.1, 0.55)
@@ -711,6 +714,20 @@ def test_delta_rms_reports_missing_settled_window(default_run):
     # truncate a coupled run before it settles: reason must say so
     sc, trace, _ = default_run("switching_step")
     cut = trace.data[trace.column("t") <= 20.0]
-    res = delta_rms(replace(trace, data=cut))
-    assert res.value is None
-    assert "settled" in res.reason
+    _, _, value, reason = delta_rms(replace(trace, data=cut))
+    assert value is None
+    assert "settled" in reason
+
+
+@pytest.mark.parametrize("case", ["repulsion", "attraction", "switching_step", "switching_smooth",
+                                  "three_agent_chain", "switching_step_stride1"])
+def test_metrics_open_with_delta_rms_of_the_trace(default_run, chain_run, case):
+    # delta_rms answers in Metrics' first four fields, in their order
+    if case == "three_agent_chain":
+        _, trace, metrics = chain_run
+    elif case == "switching_step_stride1":  # the benchmark's dense trace
+        trace, metrics = run(parse_scenario_with(scenario_text("two_agent_switching_step"),
+                                                 {"sim.stride": 1}))
+    else:
+        _, trace, metrics = default_run(case)
+    assert delta_rms(trace) == astuple(metrics)[:4]

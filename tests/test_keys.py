@@ -1,20 +1,20 @@
 """The key table's checks on parameter records built in Python.
 
-PlantParams, PoleSpec, InteractionParams and WorldConstants check each of
-their fields through the KEYS row of the scenario key that sets it, so a
-record built directly keeps the bounds a scenario file does, and its error
-names that key.
+PlantParams, PoleSpec, Gains, InteractionParams and WorldConstants check
+each of their fields through the KEYS row of the scenario key that sets it,
+so a record built directly keeps the bounds a scenario file does, and its
+error names that key.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from swarmform import (ConfigurationError, InteractionParams, InteractionVariant,
+from swarmform import (ConfigurationError, Gains, InteractionParams, InteractionVariant,
                        PlantParams, PoleSpec, ScenarioError, WorldConstants,
                        place_gains, poles_from_spec)
-from swarmform.keys import KEYS, _field, _keys, convert
+from swarmform.keys import KEYS, _field, _keys, _row, convert
 
 PLANT = PlantParams(6.0, 25.0, 9.8)
 SPEC = PoleSpec(12.0, 0.1, 0.55)
@@ -48,6 +48,31 @@ def test_a_record_built_in_python_names_the_key_it_breaks(key, value, out_of_bou
     assert str(err.value).startswith(f"{key}: ")
     if out_of_bound:  # worded as the scenario file's error is
         kind, _, bound, _ = KEYS[key]
+        with pytest.raises(ScenarioError) as from_text:
+            convert(key, repr(value), kind, bound)
+        assert str(err.value) == str(from_text.value)
+
+
+# Keys that build() cannot reach by group: an agent's radius is one entry of
+# WorldConstants.radii, and interaction.k1 is a field of Gains as well as of
+# InteractionParams
+BUILD_ONE = {"agent[0].radius": lambda v: replace(CONST, radii=(v, 20.0)),
+             "agent[1].radius": lambda v: replace(CONST, radii=(20.0, v)),
+             **{key: lambda v, name=f.name: replace(CONST.gains, **{name: v})
+                for key, f in zip((*_keys("gains"), "interaction.k1"), fields(Gains))}}
+ONE_CASES = [(key, value, True) for key in BUILD_ONE for value in OUT_OF_BOUND[_row(key)[2]]]
+ONE_CASES += [(key, value, False) for key in BUILD_ONE
+              for value in (math.nan, math.inf, -math.inf, True, False)]
+
+
+@pytest.mark.parametrize("key, value, out_of_bound", ONE_CASES,
+                         ids=[f"{k}={v!r}" for k, v, _ in ONE_CASES])
+def test_a_radius_or_gain_built_in_python_names_the_key_it_breaks(key, value, out_of_bound):
+    with pytest.raises(ConfigurationError) as err:
+        BUILD_ONE[key](value)
+    assert str(err.value).startswith(f"{key}: ")
+    if out_of_bound:  # worded as the scenario file's error is
+        kind, _, bound, _ = _row(key)
         with pytest.raises(ScenarioError) as from_text:
             convert(key, repr(value), kind, bound)
         assert str(err.value) == str(from_text.value)
