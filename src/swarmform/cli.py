@@ -165,7 +165,9 @@ def cmd_sweep(args):
     values = [float(v) for v in np.linspace(start, stop, steps)]
     tasks = [(text, args.param, v) for v in values]
 
-    workers = min(len(tasks), os.cpu_count() or 1)
+    # the cores this process may run on, as write_trace counts them
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(tasks), cores or 1)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_sweep_worker, tasks))
 

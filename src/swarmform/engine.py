@@ -376,10 +376,12 @@ def build_world(scenario):
 
 @np.errstate(**_FLOAT_SEMANTICS)
 def run(scenario):
-    """Execute a scenario from t = 0 to t_end.  Returns (Trace, Metrics)."""
+    """Execute a scenario from t = 0 to t_end.  Returns (Trace, Metrics).
+    sim.t_end and sim.stride are checked under their keys, as
+    WorldConstants checks sim.dt, before the steps are counted."""
     world = build_world(scenario)
-    dt = scenario.dt
-    stride = scenario.stride
+    check_fields([("sim.t_end", scenario.t_end), ("sim.stride", scenario.stride)])
+    dt, stride = scenario.dt, scenario.stride
     n_steps = int(round(scenario.t_end / dt))
     if n_steps < 1:
         raise ConfigurationError(f"t_end {scenario.t_end} shorter than one step dt={dt}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigurationError
-from .keys import InteractionVariant, _field, _keys, check_fields
+from .keys import InteractionVariant, Record
 
 _new = tuple.__new__  # builds a named-tuple record without its __new__ frame
 
@@ -39,9 +39,10 @@ _SWITCHING = (InteractionVariant.SWITCHING_STEP, InteractionVariant.SWITCHING_SM
 
 
 @dataclass(frozen=True)
-class InteractionParams:
-    """Per-pair interaction settings, each field checked under the
-    interaction.* key of its name.
+class InteractionParams(Record, keys=("interaction.c_max", "interaction.d_t", "interaction.eps",
+                                      "interaction.variant", "interaction.k1")):
+    """Per-pair interaction settings, a Record whose fields are checked
+    under the interaction.* key of each field's name, in field order.
 
     c_max : commanded-tilt saturation (rad), > 0
     d_t   : required coupling distance (m), > 0; must stay below the summed
@@ -56,9 +57,6 @@ class InteractionParams:
     eps: float
     variant: InteractionVariant
     k1: float
-
-    def __post_init__(self):
-        check_fields((key, getattr(self, _field(key))) for key in _keys("interaction"))
 
 
 class PairGeometry(NamedTuple):

@@ -4,12 +4,14 @@ Every scenario key is a row of ``KEYS``: its type, default, bound and
 meaning.  A text key's type is a string enum whose values are the ones it
 accepts (``interaction.variant``, ``command[m].kind``).  ``convert`` reads
 a value's text, from a scenario file or the command line, and ``check``
-tests a typed value against a row's type and bound.  The parameter records
-(``PlantParams``, ``PoleSpec``, ``Gains``, ``InteractionParams`` and
-``WorldConstants``) check each of their fields under its key through
-``check_fields``, so each bound is stated here once and every error names
-the key.  This module imports nothing of the package but its errors, so
-every other module can read it.
+tests a typed value against a row's type and bound.  ``check_fields`` is
+the one loop that checks values built in Python under their keys: each
+``Record`` (``PlantParams``, ``PoleSpec``, ``Gains``,
+``InteractionParams``) names its fields' keys once and hands it every
+field, ``WorldConstants`` its ``dt`` and radii, and ``engine.run`` the
+``sim.t_end`` and ``sim.stride`` it reads.  So each bound is stated here
+once and every error names the key.  This module imports nothing of the
+package but its errors, so every other module can read it.
 """
 
 import enum
@@ -84,7 +86,7 @@ _INDEX = r"\[(0|[1-9]\d*)\]"
 def _row(key):
     """The KEYS row of a concrete key (indices as digits), or None."""
     if "[]" not in key:
-        return KEYS.get(re.sub(_INDEX, "[]", key))
+        return KEYS.get(key) or KEYS.get(re.sub(_INDEX, "[]", key))
 
 
 def _keys(group, index=None):
@@ -140,8 +142,24 @@ def check(name, value, kind, bound, error, raw=None):
 
 
 def check_fields(items):
-    """check each (key, value) of a parameter record under its KEYS row; an
-    indexed key (agent[0].radius) under its row (agent[].radius)."""
+    """check each (key, value) under its KEYS row, raising a
+    ConfigurationError; an indexed key (agent[0].radius) under its row
+    (agent[].radius).  The one check of a value built in Python."""
     for key, value in items:
         kind, _, bound, _ = _row(key)
         check(key, value, kind, bound, ConfigurationError)
+
+
+class Record:
+    """Base of the parameter records (frozen dataclasses).  A record names
+    the scenario key of each of its fields once, in field order, as
+    ``class PlantParams(Record, keys=_keys("plant"))``, and every
+    construction checks each field under its key (check_fields)."""
+
+    def __init_subclass__(cls, keys):
+        cls.keys = tuple(keys)
+
+    def __post_init__(self):
+        # each field read as an attribute, with no astuple copy; vars(self)
+        # would give the record a dict, and slow every later field read
+        check_fields(zip(self.keys, map(self.__getattribute__, self.__dataclass_fields__)))

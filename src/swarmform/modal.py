@@ -18,20 +18,20 @@ finder.
 """
 
 import cmath
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericDomainError, SynthesisError
-from .keys import _keys, check_fields
+from .keys import Record, _keys
 
 CONJUGATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class PoleSpec:
-    """Target spectrum given as two conjugate pairs, each field checked
-    under its scenario key, poles.rl, poles.iml and poles.imr.
+class PoleSpec(Record, keys=_keys("poles")):
+    """Target spectrum given as two conjugate pairs, a Record whose fields
+    are checked under poles.rl, poles.iml and poles.imr.
 
     rl  : real part of the damped pair, >= 0 (poles at -rl +/- i*iml)
     iml : imaginary part of the damped pair
@@ -43,15 +43,12 @@ class PoleSpec:
     iml: float
     imr: float
 
-    def __post_init__(self):
-        check_fields(zip(_keys("poles"), astuple(self)))
-
 
 @dataclass(frozen=True)
-class Gains:
+class Gains(Record, keys=(*_keys("gains"), "interaction.k1")):
     """State-feedback coefficients, u = -(k_pos*P + k_vel*V + k_tilt*tilt +
-    k_rate*tilt_rate), plus the pairwise interaction stiffness k1 (rad/m),
-    each field checked under its scenario key, gains.kpos, gains.kvel,
+    k_rate*tilt_rate), plus the pairwise interaction stiffness k1 (rad/m);
+    a Record whose fields are checked under gains.kpos, gains.kvel,
     gains.ktilt, gains.krate and interaction.k1."""
 
     k_pos: float
@@ -59,9 +56,6 @@ class Gains:
     k_tilt: float
     k_rate: float
     k1: float
-
-    def __post_init__(self):
-        check_fields(zip((*_keys("gains"), "interaction.k1"), astuple(self)))
 
 
 def poles_from_spec(spec):

@@ -25,19 +25,19 @@ always gives a non-finite new state, which the engine tests for.
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigurationError, NumericDomainError
-from .keys import _keys, check_fields
+from .keys import Record, _keys
 
 _new = tuple.__new__  # builds a named-tuple record without its __new__ frame
 
 
 @dataclass(frozen=True)
-class PlantParams:
-    """Physical parameters of the tilt/translation chain, each checked
-    under its scenario key, plant.kp, plant.kd and plant.g.
+class PlantParams(Record, keys=_keys("plant")):
+    """Physical parameters of the tilt/translation chain, a Record whose
+    fields are checked under plant.kp, plant.kd and plant.g.
 
     k_p : angle-loop gain (1/s)
     k_d : rate-loop gain (1/s)
@@ -47,9 +47,6 @@ class PlantParams:
     k_p: float
     k_d: float
     g: float
-
-    def __post_init__(self):
-        check_fields(zip(_keys("plant"), astuple(self)))
 
 
 class AgentState(NamedTuple):

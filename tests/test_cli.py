@@ -3,12 +3,13 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import swarmform
-from swarmform import engine, parse_scenario
+from swarmform import cli, engine, parse_scenario
 from swarmform.cli import GAINS_KEYS, build_parser, main
 
 from conftest import SCENARIOS
@@ -488,6 +489,38 @@ def test_sweep_reports_a_non_finite_command_as_an_abort_row(tmp_path, capsys):
     assert [r[0] for r in rows] == ["0", "1.7e+308"]
     assert all(r[1].startswith("abort:") for r in rows)
     assert "non-finite plant input u=nan at t=0.000000 s (agent 0)" in rows[1][1]
+
+
+def test_sweep_sizes_its_pool_by_the_cores_the_process_may_run_on(tmp_path, capsys,
+                                                                  monkeypatch):
+    # a stand-in for cli's concurrent module, as perfbench observes the
+    # pool: it records each pool's worker count and maps in this process
+    seen = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "concurrent",
+                        types.SimpleNamespace(futures=types.SimpleNamespace(ProcessPoolExecutor=Pool)))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SHORT.replace("sim.t_end = 16.0", "sim.t_end = 1.0"))
+    rc = main(["sweep", str(cfg), "--param", "interaction.c_max",
+               "--from", "0.05", "--to", "0.1", "--steps", "2"])
+    assert rc == 0
+    assert [r[1] for r in _rows(capsys.readouterr().out)] == ["ok", "ok"]
+    assert seen == [1]
 
 
 def test_sweep_rejects_unsweepable_parameter(capsys):

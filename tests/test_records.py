@@ -1,0 +1,59 @@
+"""Records and run check their values through the key table's one loop.
+
+PlantParams, PoleSpec, Gains and InteractionParams are keys.Record
+subclasses: each names its fields' keys once, when the class is made, so a
+construction looks no key up by group and reads no key through the index
+regex.  engine.run checks the sim.t_end and sim.stride it reads under their
+keys, so a Scenario built in Python that breaks them fails with the key
+named, as one from a scenario file does.
+"""
+
+import math
+from dataclasses import fields, replace
+
+import pytest
+
+from swarmform import (ConfigurationError, Gains, InteractionParams, InteractionVariant,
+                       PlantParams, PoleSpec, keys, run)
+from swarmform.scenario import AgentInit, Scenario
+
+PLANT = PlantParams(6.0, 25.0, 9.8)
+POLES = PoleSpec(12.0, 0.1, 0.55)
+SCENARIO = Scenario(plant=PLANT, poles=POLES, explicit_gains=None,
+                    agents=(AgentInit(0.0, 1.0, 0.0, 0.0, 20.0),
+                            AgentInit(100.0, -1.0, 0.0, 0.0, 20.0)),
+                    variant=InteractionVariant.REPULSION, c_max=0.05, d_t=30.0, eps=0.1,
+                    k1=None, edges=(), commands=(), dt=0.001, t_end=0.05, stride=10)
+
+
+def _refuse(*_):
+    raise AssertionError("a record construction looked a key up")
+
+
+def test_a_record_construction_looks_no_key_up(monkeypatch):
+    # re.sub is patched for the whole interpreter, so only while building
+    with monkeypatch.context() as m:
+        m.setattr(keys, "_keys", _refuse)
+        m.setattr(keys.re, "sub", _refuse)
+        built = (PlantParams(6.0, 25.0, 9.8), PoleSpec(12.0, 0.1, 0.55),
+                 Gains(0.03, 0.4, 1.2, 0.07, 0.5),
+                 InteractionParams(0.05, 30.0, 0.1, InteractionVariant.SWITCHING_STEP, 0.5))
+    assert [r.__class__ for r in built] == [PlantParams, PoleSpec, Gains, InteractionParams]
+
+
+@pytest.mark.parametrize("record", [PlantParams, PoleSpec, Gains, InteractionParams])
+def test_a_record_names_one_key_per_field(record):
+    assert len(record.keys) == len(fields(record))
+
+
+BAD_RUN_VALUES = [("stride", 0), ("stride", -1), ("stride", 2.5), ("stride", True),
+                  ("t_end", math.nan), ("t_end", math.inf), ("t_end", -math.inf)]
+
+
+@pytest.mark.parametrize("field, value", BAD_RUN_VALUES,
+                         ids=[f"{f}={v!r}" for f, v in BAD_RUN_VALUES])
+def test_run_names_the_sim_key_it_cannot_use(field, value):
+    with pytest.raises(ConfigurationError) as err:
+        run(replace(SCENARIO, **{field: value}))
+    assert str(err.value).startswith(f"sim.{field}: ")
+
