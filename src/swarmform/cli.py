@@ -165,7 +165,7 @@ def cmd_sweep(args):
     values = [float(v) for v in np.linspace(start, stop, steps)]
     tasks = [(text, args.param, v) for v in values]
 
-    # the cores this process may run on, as write_trace counts them
+    # the cores this process may run on, as run counts them for a trace's feed
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(tasks), cores or 1)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -45,18 +45,21 @@ own checks (dt, k_pos, edges) ran once, when WorldConstants was built.
 A run samples the world every `stride` steps into a Trace (the velocity
 columns are the observed model output) and derives Metrics from it.  Each
 sampled step appends to one array('d') buffer per field (agent states,
-commands, slot separations, edge indicators) with one bulk call each; after
-the loop the run builds Trace.data once, derives its t and rms columns in
-numpy and leaves the range-slot indicators at 0.  It warns once, at the
-first state (the initial one included) whose tilt exceeds TILT_LIMIT;
-step() never warns.
+commands, slot separations, edge indicators) with one bulk call each.
+Every FILL_VALUES values or so the run moves the buffered rows into
+Trace.data as one block, derives their t and rms columns in numpy, leaves
+their range-slot indicators at 0 and pushes the block to the trace's
+output.Feed, if it has one: a forked child that formats the rows while
+the run goes on.  The run returns Trace.data read-only, so the feed's text
+cannot go stale.  It warns once, at the first state (the initial one
+included) whose tilt exceeds TILT_LIMIT; step() never warns.
 """
 
 import math
 import warnings
 from array import array
 from itertools import chain
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -66,7 +69,8 @@ from .errors import ConfigurationError, ModelValidityWarning, NumericDomainError
 from .interaction import (InteractionParams, PairState, corrected_positions,
                           force_repulsion, pair_force, pair_geometry, saturate,
                           update_pair)
-from .keys import check_fields
+from . import output
+from .keys import check_fields, step_count
 from .plant import AgentState, _rk4, check_dt
 
 TILT_LIMIT = 0.5  # rad; beyond this the small-angle model is suspect
@@ -296,7 +300,9 @@ class Trace:
     """Sampled time series of a run.
 
     Columns: t, then AGENT_FIELDS per agent, then SLOT_FIELDS per pair
-    slot, then the swarm RMS velocity.
+    slot, then the swarm RMS velocity.  feed is the output.Feed that
+    formats data's rows in a forked child while run fills them, or None;
+    write_trace collects its text.
     """
 
     AGENT_FIELDS = ("pos", "vel", "tilt", "rate", "u")
@@ -308,6 +314,7 @@ class Trace:
     n_agents: int
     slots: tuple
     slot_rsums: tuple
+    feed: object = field(default=None, repr=False, compare=False)
 
     @cached_property
     def columns(self):
@@ -374,15 +381,25 @@ def build_world(scenario):
     return World(0, agents, (PairState(),) * len(scenario.edges), const)
 
 
+# Values (rows x columns) Trace.data receives at a time while a run samples:
+# at each block the run fills its rows from the sample buffers, which it
+# empties, and pushes them to the trace's Feed, if any.  Counted in values,
+# not rows: a push every 512 rows left the 501-row lattice_swarm trace
+# (694 columns) to be formatted after the run.
+FILL_VALUES = 16_384
+
+
 @np.errstate(**_FLOAT_SEMANTICS)
 def run(scenario):
-    """Execute a scenario from t = 0 to t_end.  Returns (Trace, Metrics).
-    sim.t_end and sim.stride are checked under their keys, as
-    WorldConstants checks sim.dt, before the steps are counted."""
+    """Execute a scenario from t = 0 to t_end.  Returns (Trace, Metrics),
+    the trace's data read-only.  sim.t_end and sim.stride are checked
+    under their keys, as WorldConstants checks sim.dt, before the steps
+    are counted, and a step count t_end/dt that overflows as the parser
+    rejects it."""
     world = build_world(scenario)
     check_fields([("sim.t_end", scenario.t_end), ("sim.stride", scenario.stride)])
     dt, stride = scenario.dt, scenario.stride
-    n_steps = int(round(scenario.t_end / dt))
+    n_steps = int(round(step_count(scenario.t_end, dt, ConfigurationError)))
     if n_steps < 1:
         raise ConfigurationError(f"t_end {scenario.t_end} shorter than one step dt={dt}")
 
@@ -399,8 +416,9 @@ def run(scenario):
     # time) is dropped here, before it could upset the sort.
     due = [(cmd.t - 1e-9, cmd.edge) for cmd in scenario.commands]
     queue = sorted((c for c in due if n_steps * dt >= c[0]), reverse=True)
-    # the sampled rows by field: agent states (4 per agent), commands, slot
-    # separations and edge indicators; t and rms are derived after the loop
+    # the rows sampled since the last block, by field: agent states (4 per
+    # agent), commands, slot separations and edge indicators; t and rms are
+    # derived block by block
     states, commands, seps, fens = array("d"), array("d"), array("d"), array("d")
     # range separations come as a list below ARRAY_COUPLES, as a float64 array from it
     # on, appended as its bytes without a copy (frombytes refuses the array itself)
@@ -411,49 +429,74 @@ def run(scenario):
     tilt_warned = False
     tilted = any(abs(s.tilt) > TILT_LIMIT for s in world.agents)  # the initial state
 
-    for k in range(n_steps + 1):
-        t_k = k * dt  # world.t
-        if tilted and not tilt_warned:  # the state at t_k is the first past the limit
-            tilt_warned = True
-            warnings.warn(
-                f"tilt exceeded {TILT_LIMIT} rad at t={t_k:.3f} s; "
-                "small-angle model validity is doubtful", ModelValidityWarning)
-        fired = ()
-        while queue and t_k >= queue[-1][0]:
-            fired += (queue.pop()[1],)
-        us, pairs, edge_d, range_d = _controls(world, fired)
-        for e, (old, new) in enumerate(zip(world.pairs, pairs)):
-            if new.f_en != old.f_en:
-                (coupling_events if new.f_en else uncoupling_events).append((e, t_k))
-        world = replace(world, pairs=pairs)
-
-        if k % stride == 0:
-            states.extend(chain.from_iterable(world.agents))
-            commands.extend(us)
-            seps.extend(edge_d)
-            add_range_seps(range_d)
-            fens.extend([p.f_en for p in pairs])
-
-        if k < n_steps:
-            world, tilted = _integrate(world, us)
-
     n_rows, n, na = n_steps // stride + 1, len(radii), len(Trace.AGENT_FIELDS)
     n_cols = 2 + na * n + len(Trace.SLOT_FIELDS) * len(slots)
+    block = max(1, FILL_VALUES // n_cols)  # rows per block
     # zeros: monitored couples carry no coupling state, so their indicator stays 0
-    trace = Trace(np.zeros((n_rows, n_cols)), dt, stride, n, slots, slot_rsums)
-    trace.data[:, 0] = np.arange(0, n_rows * stride, stride) * dt  # k * dt, as t_k
-    agent_cols = trace.data[:, 1:1 + na * n].reshape(n_rows, n, na)  # a view, (row, agent, field)
-    agent_cols[..., :-1] = np.frombuffer(states).reshape(n_rows, n, -1)  # pos, vel, tilt, rate
-    agent_cols[..., -1] = np.frombuffer(commands).reshape(n_rows, n)  # u
-    trace.block("d")[:] = np.frombuffer(seps).reshape(n_rows, len(slots))
-    trace.block("fen")[:, :len(edges)] = np.frombuffer(fens).reshape(n_rows, len(edges))
-    # sums over the agents run left to right, as rms_velocity's; .sum(axis=1) rounds differently
-    vel = trace.block("vel")
-    trace.data[:, -1] = np.sqrt(sum((vel * vel).T) / n)  # rms_velocity of each row
-    vsums = sum(vel.T)
-    drift = float(np.max(np.abs(vsums - vsums[0])))
-    return trace, Metrics(*delta_rms(trace), tuple(coupling_events), tuple(uncoupling_events),
+    data, feed = output.trace_array(n_rows, n_cols)
+    trace = Trace(data, dt, stride, n, slots, slot_rsums, feed)
+
+    def fill(r0, r1):
+        # rows r0 to r1 of data from the sample buffers, which it empties;
+        # each value is computed per row, so the blocks do not change a bit
+        rows = data[r0:r1]
+        m = r1 - r0
+        rows[:, 0] = np.arange(r0 * stride, r1 * stride, stride) * dt  # k * dt, as t_k
+        agent_cols = rows[:, 1:1 + na * n].reshape(m, n, na)  # a view, (row, agent, field)
+        agent_cols[..., :-1] = np.frombuffer(states).reshape(m, n, -1)  # pos, vel, tilt, rate
+        agent_cols[..., -1] = np.frombuffer(commands).reshape(m, n)  # u
+        trace.block("d")[r0:r1] = np.frombuffer(seps).reshape(m, len(slots))
+        trace.block("fen")[r0:r1, :len(edges)] = np.frombuffer(fens).reshape(m, len(edges))
+        # sums over the agents run left to right, as rms_velocity's; .sum(axis=1) rounds differently
+        vel = trace.block("vel")[r0:r1]
+        rows[:, -1] = np.sqrt(sum((vel * vel).T) / n)  # rms_velocity of each row
+        for buf in (states, commands, seps, fens):
+            del buf[:]
+        if feed is not None:
+            feed.push(r1)
+
+    r0 = 0  # the first row not yet in data
+    try:
+        for k in range(n_steps + 1):
+            t_k = k * dt  # world.t
+            if tilted and not tilt_warned:  # the state at t_k is the first past the limit
+                tilt_warned = True
+                warnings.warn(
+                    f"tilt exceeded {TILT_LIMIT} rad at t={t_k:.3f} s; "
+                    "small-angle model validity is doubtful", ModelValidityWarning)
+            fired = ()
+            while queue and t_k >= queue[-1][0]:
+                fired += (queue.pop()[1],)
+            us, pairs, edge_d, range_d = _controls(world, fired)
+            for e, (old, new) in enumerate(zip(world.pairs, pairs)):
+                if new.f_en != old.f_en:
+                    (coupling_events if new.f_en else uncoupling_events).append((e, t_k))
+            world = replace(world, pairs=pairs)
+
+            if k % stride == 0:
+                states.extend(chain.from_iterable(world.agents))
+                commands.extend(us)
+                seps.extend(edge_d)
+                add_range_seps(range_d)
+                fens.extend([p.f_en for p in pairs])
+                sampled = k // stride + 1
+                if sampled - r0 == block or sampled == n_rows:
+                    fill(r0, sampled)
+                    r0 = sampled
+
+            if k < n_steps:
+                world, tilted = _integrate(world, us)
+
+        vsums = sum(trace.block("vel").T)
+        drift = float(np.max(np.abs(vsums - vsums[0])))
+        metrics = Metrics(*delta_rms(trace), tuple(coupling_events), tuple(uncoupling_events),
                           drift)
+    except BaseException:  # a warning made an error or an interrupt too: stop the child now
+        if feed is not None:
+            feed.close()
+        raise
+    data.flags.writeable = False
+    return trace, metrics
 
 
 SETTLED_TILT = 1e-3  # rad; tilts below this count as settled flight

@@ -150,6 +150,17 @@ def check_fields(items):
         check(key, value, kind, bound, ConfigurationError)
 
 
+def step_count(t_end, dt, error):
+    """t_end / dt, the step count before rounding, of a checked sim.t_end
+    and sim.dt.  One that overflows (a tiny dt) is an `error` naming
+    sim.dt, for the parser and engine.run alike."""
+    steps = t_end / dt
+    if not math.isfinite(steps):
+        raise error(f"sim.dt: too small for sim.t_end={t_end}: "
+                    f"the step count t_end/dt overflows, got {dt}")
+    return steps
+
+
 class Record:
     """Base of the parameter records (frozen dataclasses).  A record names
     the scenario key of each of its fields once, in field order, as

@@ -6,17 +6,21 @@ the same thing as numerical regression.  Floats are written with 17
 significant digits, which round-trips IEEE doubles exactly; event times
 take the 12 of format_short.
 
-The simulation is single-threaded, and so is every writer but one:
-write_trace formats a trace of at least 2 * FORK_VALUES values in row
-blocks, one per core, all but the first in forked child processes, and
-joins the blocks in row order.  The text does not depend on the number of
-blocks, and no child outlives the call.
+The simulation is single-threaded, and so is every writer.  The one other
+process is a run's Feed: for a trace of at least 2 * FORK_VALUES values,
+engine.run keeps Trace.data in memory shared with one forked child, which
+formats each block of rows into CSV lines while the run fills the next.
+write_trace then collects that text, and formats the rows itself only for
+a trace without a live feed over its own data, or when the child failed.
+The text is the same either way, and no child outlives write_trace, its
+Trace or a run that raises.
 """
 
 import html
 import math
 import os
 import threading
+import weakref
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -25,28 +29,21 @@ from .errors import ConfigurationError, NumericDomainError
 from .scenario import _fmt, _keys, _values
 
 
-# Values (rows x columns) each block holds at least, so a trace is cut in
-# two from 300 000 values: the lattice_swarm (347 694) and dense_trace
-# (640 016) traces of perfbench are, the 4001-row traces of the shipped
-# scenarios (64 016 and 108 027) are not.  write_trace of the first rows of
-# the dense_trace input (16 columns), median time of 2 blocks over that of
-# 1, alternating runs (9-21 of each), same process, Python 3.11.7, 2-vCPU
-# x86-64 VM; the range spans 5-9 series taken over an hour, as the host's
-# second core came and went:
+# Values (rows x columns): a trace of 2 * FORK_VALUES values or more gets a
+# Feed, so the lattice_swarm (347 694) and dense_trace (640 016) traces of
+# perfbench do, and the 4001-row traces of the shipped scenarios (64 016 and
+# 108 027) and of param_sweep do not: their runs fork nothing.  The bound
+# was sized when write_trace formatted half of such a trace in a forked
+# child after the run: write_trace of the first rows of the dense_trace
+# input (16 columns), median time of 2 blocks over that of 1, alternating
+# runs (9-21 of each), same process, Python 3.11.7, 2-vCPU x86-64 VM; the
+# range spans 5-9 series taken over an hour, as the host's second core
+# came and went:
 #   values    50-64 k    96-128 k   192-200 k  256-320 k  384-400 k  640 k
 #   2 / 1     0.60-1.39  0.55-1.26  0.56-1.12  0.57-0.68  0.54-0.68  0.57-0.73
+# A feed overlaps the formatting with the run, so it may pay below that
+# bound too; that is not measured.
 FORK_VALUES = 150_000
-
-
-def _blocks(values):
-    """How many blocks write_trace cuts a trace of `values` values into:
-    one per core the process may run on, each of at least FORK_VALUES
-    values.  One where there is no fork or core count (not Linux), or while
-    another thread runs: a forked child gets only the calling thread, and
-    could find a lock that another thread held."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), values // FORK_VALUES))
 
 
 def _rows(data, fmt):
@@ -56,72 +53,154 @@ def _rows(data, fmt):
     return [fmt % tuple(r.tolist()) for r in data]
 
 
+def _row_format(cols):
+    return ",".join(["%.17g"] * cols) + "\n"
+
+
+def trace_array(rows, cols):
+    """The zeroed (rows, cols) float64 array a run fills with its samples,
+    and its Feed, or None.  A trace of at least 2 * FORK_VALUES values gets
+    a feed where the process may run on two cores or more.  None where
+    there is no fork or core count (not Linux), where the fork fails, or
+    while another thread runs: a forked child gets only the calling
+    thread, and could find a lock that another thread held."""
+    if (rows * cols < 2 * FORK_VALUES or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1 or len(os.sched_getaffinity(0)) < 2):
+        return np.zeros((rows, cols)), None
+    import mmap  # here, not at import, as signal in _stop: only a feed needs them
+
+    data = np.frombuffer(mmap.mmap(-1, rows * cols * 8), dtype=float).reshape(rows, cols)
+    try:
+        return data, Feed(data)
+    except OSError:
+        return data, None
+
+
+class Feed:
+    """A forked child that formats the rows of `data` while a run fills them.
+
+    `data` lives in memory shared with the child.  The run calls push(r)
+    once the first r rows of data are final, which sends r down a pipe;
+    the child formats the new rows with _rows at once and keeps their text,
+    and once every row is in, writes it to a second pipe, which text()
+    reads.  The child lowers its priority first, so that a feed whose text
+    nobody reads (a sweep's or compare's run) takes only idle CPU.
+    close() kills and reaps the child and closes the pipes; it runs once,
+    at the latest when the Feed is dropped or the interpreter exits.
+    """
+
+    def __init__(self, data):
+        self.data = data
+        rows_r, rows_w = os.pipe()
+        text_r, text_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (rows_r, rows_w, text_r, text_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            _format_pushed(data, rows_r, text_w, (rows_w, text_r))  # never returns
+        os.close(rows_r)
+        os.close(text_w)
+        self._rows_w, self._text_r = rows_w, text_r
+        self.close = weakref.finalize(self, _stop, pid, (rows_w, text_r))
+
+    def push(self, rows):
+        """Hand the child the rows of data up to `rows`, all of them by the
+        last push.  A child that has gone is left to text()."""
+        if not self.close.alive:
+            return
+        try:
+            os.write(self._rows_w, rows.to_bytes(8, "little"))
+        except OSError:
+            pass
+
+    def text(self, header):
+        """`header` and the child's CSV lines of every row, as one str, or
+        None when the feed was closed or the child sent less than the size
+        it announced (a child that failed sends nothing).  The child is
+        reaped, and the feed closed, whether the reading ends or raises, so
+        a feed gives its text once."""
+        if not self.close.alive:
+            return None
+        try:
+            # a buffered reader's read and readinto return less only at the
+            # end of the pipe
+            with open(self._text_r, "rb", closefd=False) as f:
+                size = f.read(8)
+                if len(size) < 8:  # a child that failed sends nothing
+                    return None
+                # the text arrives in one buffer made to its size and is
+                # decoded once: 64 KiB pipe reads kept as strings left their
+                # heap behind, 9 MB of max RSS on the dense_trace input
+                head = header.encode("ascii")
+                text = bytearray(len(head) + int.from_bytes(size, "little"))
+                text[:len(head)] = head
+                with memoryview(text) as view:
+                    if f.readinto(view[len(head):]) < len(view) - len(head):
+                        return None
+            return text.decode("ascii")
+        finally:
+            self.close()
+
+
+def _format_pushed(data, rows_r, text_w, callers):
+    """The body of a Feed's child: formats each pushed block of rows and,
+    once the last row is in, writes the text and exits.  Exits non-zero,
+    having written nothing, when the caller closes the pipe first or a
+    block cannot be formatted.  `callers` are the caller's pipe ends."""
+    status = 1
+    try:
+        for fd in callers:
+            os.close(fd)
+        os.nice(19)
+        fmt, done, blocks = _row_format(data.shape[1]), 0, []
+        with open(rows_r, "rb") as pushes:
+            while done < len(data):
+                pushed = pushes.read(8)
+                if len(pushed) < 8:
+                    return
+                rows = int.from_bytes(pushed, "little")
+                blocks.append("".join(_rows(data[done:rows], fmt)).encode("ascii"))
+                done = rows
+        # written only now, after its size: a full pipe would stall the
+        # child until text()
+        with open(text_w, "wb") as f:
+            f.write(sum(map(len, blocks)).to_bytes(8, "little"))
+            f.writelines(blocks)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _stop(pid, fds):
+    """Feed.close: closes the caller's pipe ends, and kills and reaps the
+    child, at once if it is still formatting or waiting to write."""
+    import signal
+
+    for fd in fds:
+        os.close(fd)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
 def write_trace(trace):
     """Render a Trace as CSV text (header + one row per sample).
 
-    A trace of at least 2 * FORK_VALUES values is cut into contiguous row
-    blocks, one per core (_blocks).  The calling process formats the first
-    block; each other block is formatted by a forked child, which writes
-    it to a pipe as ASCII and exits.  The blocks are joined in row order,
-    so the text is the same however many blocks there are.  A child that
-    fails, or sends fewer lines than its block has, has its block
-    formatted by the caller instead, and no child outlives the call.
+    The rows come from the trace's Feed when it has a live one over its
+    own data (engine.run gives one to a trace of at least 2 * FORK_VALUES
+    values); a trace made by dataclasses.replace with other data has them
+    formatted here.  So do a feed that is closed or already read, and a
+    child that failed or sent fewer lines than the trace has rows.  The
+    text is the same either way, and the child is reaped before the call
+    returns or raises.
     """
-    data = trace.data
-    fmt = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    n = _blocks(data.size)
-    cuts = [len(data) * i // n for i in range(n + 1)]
-    children = []  # (pid, read end, first row, end row) of each unreaped child
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                # the whole block is formatted before the first write, so a
-                # full pipe never stalls the child while the caller is busy
-                status = 1
-                try:
-                    block = "".join(_rows(data[lo:hi], fmt)).encode("ascii")
-                    with open(w, "wb") as f:
-                        f.write(block)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(w)
-            children.append((pid, open(r, "rb", buffering=0), lo, hi))
-        # The caller's rows are joined, and their list dropped, before any
-        # child's text is read; each child's text stays in the strings of its
-        # pipe reads until the one join.  On the dense_trace input (40 001
-        # rows, an 11.1 MB CSV) a fresh process's max RSS rises 40.0 -> 56.7
-        # MB across one call in 2 blocks, 40.0 -> 62.0 MB in 1.  Appending
-        # each read to one growing str instead gave 57.9 MB, but the first
-        # call took 0.7-0.8 s, not 0.3: the allocator copied the str on most
-        # of its ~85 growths (180 000 page faults against 7 500)
-        parts = ["".join([",".join(trace.columns) + "\n", *_rows(data[:cuts[1]], fmt)])]
-        while children:
-            pid, f, lo, hi = children[0]
-            with f:
-                block = [chunk.decode("ascii") for chunk in iter(lambda: f.read(1 << 16), b"")]
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            if (os.waitstatus_to_exitcode(status) != 0
-                    or sum(chunk.count("\n") for chunk in block) != hi - lo):
-                block = _rows(data[lo:hi], fmt)
-            parts += block
-        return "".join(parts)
-    finally:
-        if children:  # an exception is unwinding the call: stop and reap the rest
-            import signal  # here, not at import: only this path needs it
-
-            for pid, f, _, _ in children:
-                f.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    data, feed, header = trace.data, trace.feed, ",".join(trace.columns) + "\n"
+    text = feed.text(header) if feed is not None and feed.data is data else None
+    if text is None or text.count("\n") != 1 + len(data):
+        text = "".join([header, *_rows(data, _row_format(data.shape[1]))])
+    return text
 
 
 def format_short(value):

@@ -12,14 +12,13 @@ Agent, edge and command indices must each be contiguous from 0.  Every
 validation error names the offending key.
 """
 
-import math
 import re
 from dataclasses import astuple, dataclass
 from itertools import zip_longest
 
 from .errors import ScenarioError, SynthesisError
 from .keys import (_INDEX, KEYS, REQUIRED, CommandKind, InteractionVariant,
-                   _field, _keys, _row, convert, is_scalar_key)
+                   _field, _keys, _row, convert, is_scalar_key, step_count)
 from .modal import Gains, PoleSpec, place_gains, poles_from_spec
 from .plant import PlantParams
 
@@ -155,9 +154,7 @@ def build_scenario(entries):
     dt, t_end, d_t = settings["dt"], settings["t_end"], settings["d_t"]
     if t_end < dt:
         raise ScenarioError(f"sim.t_end: must cover at least one step of sim.dt={dt}")
-    if not math.isfinite(t_end / dt):
-        raise ScenarioError(f"sim.dt: too small for sim.t_end={t_end}: "
-                            f"the step count t_end/dt overflows, got {dt}")
+    step_count(t_end, dt, ScenarioError)
 
     n_agents = e.group_indices("agent")
     if n_agents == 0:

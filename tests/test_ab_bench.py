@@ -1,6 +1,8 @@
-"""tools/ab_bench.py: the claim rule and the bound check on hand-made runs."""
+"""tools/ab_bench.py: the claim rule and the bound check on hand-made runs,
+and the choice of workloads and seeds, with no perfbench run started."""
 
 import importlib.util
+import json
 import os
 import statistics
 from pathlib import Path
@@ -117,3 +119,54 @@ def test_a_zero_parent_median_has_no_relative_change():
                         "trace.wall_s": (1.0, "s")})] for s in ab_bench.SIDES}
     assert ab_bench.summarise_traced(runs, "cmd")["median_change_rel"] == {
         "engine.steps": 0.0, "trace.wall_s": 0.0}
+
+
+def trees(tmp_path):
+    """Two trees that hold what ab_bench looks for: perfbench/run.py, and
+    the parent's BENCHMARK.json."""
+    paths = []
+    for side in ab_bench.SIDES:
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+        paths.append(str(tmp_path / side))
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+    return paths
+
+
+def test_workloads_and_first_seed_default_to_every_workload_from_seed_1(tmp_path):
+    args = ab_bench.parse_args(trees(tmp_path))
+    assert args.workloads == ab_bench.WORKLOADS and args.first_seed == 1
+
+
+def test_workloads_are_taken_in_the_order_given(tmp_path):
+    args = ab_bench.parse_args([*trees(tmp_path), "--workloads", "dense_trace,pair_encounter",
+                                "--first-seed", "11"])
+    assert args.workloads == ("dense_trace", "pair_encounter") and args.first_seed == 11
+
+
+@pytest.mark.parametrize("workloads", ["dense", "dense_trace,dense_trace", ""])
+def test_an_unknown_or_repeated_workload_is_a_usage_error(workloads, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        ab_bench.parse_args([*trees(tmp_path), "--workloads", workloads])
+    assert err.value.code == 2
+    assert "--workloads" in capsys.readouterr().err
+
+
+def test_pair_k_runs_seed_first_seed_plus_k_minus_1_on_the_named_workloads(tmp_path, monkeypatch):
+    calls = []
+
+    def run_once(tree, workload, seed, trace=0):
+        calls.append((Path(tree).name, workload, seed))
+        return {"correct": True, "failed": 0, "attempted": 1,
+                "metrics": {"steps_per_s": {"value": 100.0 + seed}}}
+
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    monkeypatch.setattr(ab_bench, "host_parallelism", lambda: {"median": 2.0})
+    out = tmp_path / "bench.json"
+    args = [*trees(tmp_path), "--pairs", "2", "--workloads", "dense_trace",
+            "--first-seed", "11", "--out", str(out)]
+    assert ab_bench.main(args) == 0
+    assert calls == [("parent", "dense_trace", 11), ("change", "dense_trace", 11),
+                     ("change", "dense_trace", 12), ("parent", "dense_trace", 12)]
+    section = json.loads(out.read_text())["end_to_end"]
+    assert list(section) == ["dense_trace"] and section["dense_trace"]["seeds"] == [11, 12]

@@ -5,7 +5,8 @@ subclasses: each names its fields' keys once, when the class is made, so a
 construction looks no key up by group and reads no key through the index
 regex.  engine.run checks the sim.t_end and sim.stride it reads under their
 keys, so a Scenario built in Python that breaks them fails with the key
-named, as one from a scenario file does.
+named, as one from a scenario file does; so does one whose step count
+t_end/dt overflows, with the parser's message.
 """
 
 import math
@@ -14,7 +15,8 @@ from dataclasses import fields, replace
 import pytest
 
 from swarmform import (ConfigurationError, Gains, InteractionParams, InteractionVariant,
-                       PlantParams, PoleSpec, keys, run)
+                       PlantParams, PoleSpec, ScenarioError, keys, parse_scenario_with, run,
+                       serialize_scenario)
 from swarmform.scenario import AgentInit, Scenario
 
 PLANT = PlantParams(6.0, 25.0, 9.8)
@@ -57,3 +59,14 @@ def test_run_names_the_sim_key_it_cannot_use(field, value):
         run(replace(SCENARIO, **{field: value}))
     assert str(err.value).startswith(f"sim.{field}: ")
 
+
+
+def test_run_rejects_a_step_count_that_overflows_as_the_parser_does():
+    message = ("sim.dt: too small for sim.t_end=1e+300: "
+               "the step count t_end/dt overflows, got 1e-10")
+    with pytest.raises(ConfigurationError) as err:
+        run(replace(SCENARIO, t_end=1e300, dt=1e-10))
+    assert str(err.value) == message
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_with(serialize_scenario(SCENARIO), {"sim.t_end": 1e300, "sim.dt": 1e-10})
+    assert str(err.value) == message

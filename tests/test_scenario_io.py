@@ -1,13 +1,14 @@
 """Scenario parsing/serialisation and the CSV/report/SVG writers."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
 import os
 import re
 import threading
-import time
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from swarmform import (AgentInit, Command, ConfigurationError, InteractionVariant,
-                       PlantParams, PoleSpec, Scenario, ScenarioError, build_world,
-                       parse_scenario, parse_scenario_with, render_svg, run,
-                       serialize_scenario, step, write_report, write_trace)
-from swarmform import cli, output
+                       ModelValidityWarning, PlantParams, PoleSpec, Scenario, ScenarioError,
+                       SimulationAbort, build_world, parse_scenario, parse_scenario_with,
+                       render_svg, run, serialize_scenario, step, write_report, write_trace)
+from swarmform import cli, engine, output
 from swarmform.scenario import KEYS, REQUIRED, is_scalar_key
 
 from conftest import REPO, SCENARIOS, scenario_text
@@ -404,9 +405,11 @@ def test_trace_csv_deterministic():
     assert write_trace(t1) == write_trace(t2)
 
 
-# write_trace in blocks: FORK_VALUES and the core count are patched so that
-# tiny traces are cut into 1-4 blocks, all but the first formatted by forked
-# children.  After every call no child may be left: waitpid(-1) finds none.
+# The feed: a run hands a trace of at least 2 * FORK_VALUES values to a
+# forked child (output.Feed) that formats its rows while the run goes on,
+# and write_trace collects that child's text.  FORK_VALUES and the core
+# count are patched so that tiny traces get one.  After every call no
+# child may be left: waitpid(-1) finds none.
 SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
            1e308, -1e308, 1 / 3, -1e-300)
 
@@ -417,35 +420,56 @@ def tiny_trace(data):
     return dataclasses.replace(trace, data=np.array(data, dtype=float).reshape(-1, 14))
 
 
-def in_blocks(trace, blocks, mp):
-    """write_trace(trace) with every value a block's worth, on `blocks` cores."""
+def with_feeds(mp):
+    """Every trace of two values or more gets a feed, on two cores."""
     mp.setattr(output, "FORK_VALUES", 1)
-    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(blocks)))
-    text = write_trace(trace)
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    return text
+
+
+def fed(trace, pushes):
+    """trace with its data copied into a feed's memory and pushed up to
+    each row count of `pushes` in turn, the last one every row."""
+    data, feed = output.trace_array(*trace.data.shape)
+    assert feed is not None
+    data[:] = trace.data
+    for rows in pushes:
+        feed.push(rows)
+    return dataclasses.replace(trace, data=data, feed=feed)
 
 
 def one_block(trace):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(output, "FORK_VALUES", 10**18)
-        return write_trace(trace)
+    return write_trace(dataclasses.replace(trace, feed=None))
+
+
+def stride_7_run():
+    """A switching_step run whose last sample comes before its last step."""
+    sc = parse_scenario_with(scenario_text("two_agent_switching_step"),
+                             {"sim.t_end": 12.0, "command[0].t": 10.0, "sim.stride": 7})
+    return run(sc)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(st.integers(1, 9).flatmap(lambda rows: st.lists(
-           st.one_of(st.sampled_from(SPECIAL), st.floats()), min_size=14 * rows,
-           max_size=14 * rows)),
-       st.integers(1, 4))
-def test_trace_csv_in_blocks_equals_one_block(values, blocks):
+@given(st.integers(1, 9).flatmap(lambda rows: st.tuples(
+           st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()), min_size=14 * rows,
+                    max_size=14 * rows),
+           st.lists(st.integers(1, rows), max_size=3).map(lambda cut: sorted({*cut, rows})))))
+def test_trace_csv_from_a_feed_equals_one_block(values_and_pushes):
+    values, pushes = values_and_pushes  # pushed in 1-4 steps
     trace = tiny_trace(values)
     with pytest.MonkeyPatch.context() as mp:
-        assert in_blocks(trace, blocks, mp) == one_block(trace)
+        with_feeds(mp)
+        text = write_trace(fed(trace, pushes))
+    no_child_left()
+    assert text == one_block(trace)
 
 
 @pytest.mark.parametrize("fault", ["exits non-zero", "drops its last row"])
-def test_trace_csv_block_of_a_failed_child_is_formatted_by_the_caller(fault, monkeypatch):
+def test_trace_csv_rows_of_a_failed_feed_are_formatted_by_the_caller(fault, monkeypatch):
     trace = tiny_trace(np.arange(14 * 6) / 7)
     rows, caller, calls = output._rows, os.getpid(), []
 
@@ -458,41 +482,107 @@ def test_trace_csv_block_of_a_failed_child_is_formatted_by_the_caller(fault, mon
         return rows(data[:-1], fmt)
 
     monkeypatch.setattr(output, "_rows", faulty)
-    assert in_blocks(trace, 3, monkeypatch) == one_block(trace)
-    assert calls == [2, 2, 2, 6]  # its own block, then both children's, then one_block
+    with_feeds(monkeypatch)
+    text = write_trace(fed(trace, [2, 4, 6]))
+    no_child_left()
+    assert text == one_block(trace)
+    assert calls == [6, 6]  # every row of the fed trace, then one_block's
 
 
-def test_trace_csv_children_are_killed_when_the_caller_raises(monkeypatch):
-    trace = tiny_trace(np.arange(14 * 4) / 7)
-    rows, caller = output._rows, os.getpid()
-
-    def stalled(data, fmt):
-        if os.getpid() == caller:
-            raise KeyboardInterrupt
-        time.sleep(60)
-        return rows(data, fmt)
-
-    monkeypatch.setattr(output, "_rows", stalled)
-    t0 = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        in_blocks(trace, 4, monkeypatch)
-    assert time.perf_counter() - t0 < 30
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_a_fed_run_gives_the_data_metrics_and_text_of_an_unfed_one(monkeypatch):
+    plain, plain_metrics = stride_7_run()
+    assert plain.feed is None
+    with_feeds(monkeypatch)
+    monkeypatch.setattr(engine, "FILL_VALUES", 14 * 50)  # 50-row blocks, the last one short
+    trace, metrics = stride_7_run()
+    assert trace.feed is not None and trace.n_rows == 12000 // 7 + 1
+    assert metrics == plain_metrics
+    assert trace.data.tobytes() == plain.data.tobytes()
+    assert write_trace(trace) == write_trace(plain)
+    no_child_left()
 
 
-def test_trace_csv_is_one_block_while_another_thread_runs(monkeypatch):
-    trace = tiny_trace(np.arange(14 * 4) / 7)
+def test_no_feed_child_outlives_its_dropped_trace(monkeypatch):
+    with_feeds(monkeypatch)
+    trace, _ = stride_7_run()
+    assert trace.feed is not None
+    del trace
+    gc.collect()
+    no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["non-finite command", "interrupt", "tilt warning"])
+def test_no_feed_child_outlives_a_run_that_raises(fault, monkeypatch):
+    controls, forks, fork = engine._controls, [], os.fork
+
+    def faulty(world, active_commands):
+        us, *rest = controls(world, active_commands)
+        if world.k == 300:  # after six pushes
+            if fault == "interrupt":
+                raise KeyboardInterrupt
+            us[-1] = math.nan
+        return (us, *rest)
+
+    def counted_fork():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    with_feeds(monkeypatch)
+    monkeypatch.setattr(engine, "FILL_VALUES", 14 * 5)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    if fault == "tilt warning":
+        monkeypatch.setattr(engine, "TILT_LIMIT", 0.0)
+    else:
+        monkeypatch.setattr(engine, "_controls", faulty)
+    error = {"non-finite command": SimulationAbort, "interrupt": KeyboardInterrupt,
+             "tilt warning": ModelValidityWarning}[fault]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ModelValidityWarning)
+        with pytest.raises(error):
+            stride_7_run()
+    assert len(forks) == 1
+    no_child_left()
+
+
+def test_no_feed_while_another_thread_runs(monkeypatch):
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
+        with_feeds(monkeypatch)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a thread running"))
-        assert in_blocks(trace, 4, monkeypatch) == one_block(trace)
+        trace, _ = stride_7_run()
+        assert trace.feed is None
+        assert write_trace(trace) == one_block(trace)
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("feeds", [False, True])
+def test_a_run_s_trace_data_is_read_only(feeds, monkeypatch):
+    if feeds:
+        with_feeds(monkeypatch)
+    trace, _ = stride_7_run()
+    assert (trace.feed is not None) == feeds
+    with pytest.raises(ValueError, match="read-only"):
+        trace.data[0, 1] = 1.0
+    del trace
+    no_child_left()
+
+
+def test_a_replaced_trace_is_formatted_from_its_own_data(monkeypatch):
+    with_feeds(monkeypatch)
+    trace, _ = stride_7_run()
+    other = trace.data + 1.0
+    replaced = dataclasses.replace(trace, data=other)
+    assert replaced.feed is trace.feed
+    assert write_trace(replaced) == one_block(replaced) != one_block(trace)
+    assert trace.feed.close.alive  # the feed is still trace's
+    assert write_trace(trace) == one_block(trace)
+    no_child_left()
 
 
 def test_report_schema_fixed_across_variants(default_run):

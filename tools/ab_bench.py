@@ -1,11 +1,13 @@
 """Interleaved A/B runs of perfbench between two swarmform trees.
 
     python3 tools/ab_bench.py PARENT_DIR CHANGE_DIR [--pairs 10] [--out BENCH_N.json]
+        [--workloads W[,W...]] [--first-seed S]
 
 PARENT_DIR and CHANGE_DIR are full checkouts, each in a fresh directory,
 for example made with `git archive <commit> | tar -x -C DIR`.  Pair k runs
-`perfbench/run.py --workload W --seed k --trace 0` on both trees, for every
-workload in WORKLOADS; the parent runs first in odd pairs and the change
+`perfbench/run.py --workload W --seed S+k-1 --trace 0` on both trees (S is
+--first-seed, 1 by default), for every workload W in --workloads (all of
+WORKLOADS by default); the parent runs first in odd pairs and the change
 first in even pairs.  Each run uses its own tree's perfbench at that
 perfbench's own run length.
 
@@ -145,15 +147,16 @@ def compare(parent_runs, change_runs, better, bound, fails_more):
     }
 
 
-def summarise(runs, metrics_spec):
-    """The end_to_end section: per workload, per metric statistics."""
+def summarise(runs, metrics_spec, first_seed=1):
+    """The end_to_end section: per workload, per metric statistics; pair k
+    ran seed first_seed + k - 1."""
     section = {}
     for workload, sides in runs.items():
         n = min(len(sides["parent"]), len(sides["change"]))
         paired = {s: sides[s][:n] for s in SIDES}
         entry = {
             "pairs": n,
-            "seeds": list(range(1, n + 1)),
+            "seeds": list(range(first_seed, first_seed + n)),
             "correct": all(r["correct"] for s in SIDES for r in paired[s]),
             "failed": {s: sum(r["failed"] for r in paired[s]) for s in SIDES},
             "attempted": {s: sum(r["attempted"] for r in paired[s]) for s in SIDES},
@@ -247,7 +250,17 @@ def print_table(section):
                   f"{st['parent_iqr']:11.4g}  {verdict}")
 
 
-def main(argv=None):
+def _workloads(text):
+    """--workloads: comma-separated names from WORKLOADS, in the order given."""
+    names = tuple(w.strip() for w in text.split(","))
+    unknown = [w for w in names if w not in WORKLOADS]
+    if unknown or len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: each once, from {', '.join(WORKLOADS)}")
+    return names
+
+
+def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
@@ -257,14 +270,25 @@ def main(argv=None):
     ap.add_argument("--traced", choices=WORKLOADS, metavar="WORKLOAD",
                     help="run a traced series of this workload instead of the pairs")
     ap.add_argument("--runs", type=int, default=3, help="traced runs per tree (--traced)")
+    ap.add_argument("--workloads", type=_workloads, default=WORKLOADS, metavar="W[,W...]",
+                    help="the workloads of each pair round, in this order (default: all)")
+    ap.add_argument("--first-seed", type=int, default=1, metavar="S",
+                    help="the seed of the first pair; pair k runs seed S + k - 1")
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.runs < 1:
         ap.error("--pairs and --runs must be at least 1")
 
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for tree in trees.values():
+    args.trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in args.trees.values():
         if not (tree / "perfbench" / "run.py").exists():
             ap.error(f"{tree} has no perfbench/run.py")
+    return args
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    trees = args.trees
+
     if args.traced:
         command = (f"python3 perfbench/run.py --workload {args.traced} --seed {TRACED_SEED} "
                    "--trace 1, in each tree")
@@ -277,9 +301,10 @@ def main(argv=None):
     metrics_spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
     method = {
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
-        "pairs": f"{args.pairs} pairs per workload; pair k runs seed S = k on both trees; the "
-                 "parent runs first in odd pairs and the change first in even pairs; each pair "
-                 f"round runs the workloads in the order {', '.join(WORKLOADS)}",
+        "pairs": f"{args.pairs} pairs per workload; pair k runs seed S = {args.first_seed} + k - 1 "
+                 "on both trees; the parent runs first in odd pairs and the change first in "
+                 "even pairs; each pair round runs the workloads in the order "
+                 f"{', '.join(args.workloads)}",
         "statistics": "median and quartiles (linear interpolation) over the runs of each side; "
                       "change_wins counts pairs where the change reads better; the claim rule "
                       "needs at least 10 pairs, 9/10 wins, a median difference above parent_iqr "
@@ -292,19 +317,19 @@ def main(argv=None):
 
     hosts = {"before": host_parallelism()}
     print(f"host two-process speedup before the pairs: {hosts['before']['median']:.2f}", flush=True)
-    runs = {w: {s: [] for s in SIDES} for w in WORKLOADS}
+    runs = {w: {s: [] for s in SIDES} for w in args.workloads}
     for k in range(1, args.pairs + 1):
         order = SIDES if k % 2 else SIDES[::-1]
-        for workload in WORKLOADS:
+        for workload in args.workloads:
             for side in order:
                 t0 = time.perf_counter()
-                result = run_once(trees[side], workload, k)
+                result = run_once(trees[side], workload, args.first_seed + k - 1)
                 runs[workload][side].append(result)
                 value = result["metrics"].get("scaled_agent_steps_per_s", {}).get("value", 0.0)
                 print(f"pair {k} {workload:15s} {side:6s} "
                       f"correct={result['correct']} steps/s={value:.4g} "
                       f"({time.perf_counter() - t0:.0f} s)", flush=True)
-        section = summarise(runs, metrics_spec)
+        section = summarise(runs, metrics_spec, args.first_seed)
         if k == args.pairs:
             hosts["after"] = host_parallelism()
             print(f"host two-process speedup after the pairs: {hosts['after']['median']:.2f}")
