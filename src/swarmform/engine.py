@@ -41,6 +41,11 @@ rebuilds twice through replace (World._replace, one pass over its four
 fields): once with the new pair states, once with the new agents.  Each
 rebuild checks that the state matches the world's constant parts, whose
 own checks (dt, k_pos, edges) ran once, when WorldConstants was built.
+build_world first checks the scenario with scenario.check_scenario, the
+parser's check of the relations between its fields, so a run states no
+rule of its own: a Scenario built in Python is refused, with a
+ConfigurationError worded as the parser's error, wherever a scenario file
+would be.
 
 A run samples the world every `stride` steps into a Trace (the velocity
 columns are the observed model output) and derives Metrics from it.  Each
@@ -70,8 +75,9 @@ from .interaction import (InteractionParams, PairState, corrected_positions,
                           force_repulsion, pair_force, pair_geometry, saturate,
                           update_pair)
 from . import output
-from .keys import check_fields, step_count
+from .keys import check_fields
 from .plant import AgentState, _rk4, check_dt
+from .scenario import check_scenario
 
 TILT_LIMIT = 0.5  # rad; beyond this the small-angle model is suspect
 
@@ -371,7 +377,10 @@ def rms_velocity(velocities):
 
 
 def build_world(scenario):
-    """Materialise a scenario into the initial World."""
+    """Materialise a scenario into the initial World, once check_scenario
+    has found every relation between its fields to hold (else a
+    ConfigurationError naming the key, worded as the parser's error)."""
+    check_scenario(scenario, ConfigurationError)
     gains = scenario.resolved_gains()
     params = InteractionParams(scenario.c_max, scenario.d_t, scenario.eps,
                                scenario.variant, gains.k1)
@@ -392,20 +401,13 @@ FILL_VALUES = 16_384
 @np.errstate(**_FLOAT_SEMANTICS)
 def run(scenario):
     """Execute a scenario from t = 0 to t_end.  Returns (Trace, Metrics),
-    the trace's data read-only.  sim.t_end and sim.stride are checked
-    under their keys, as WorldConstants checks sim.dt, before the steps
-    are counted, and a step count t_end/dt that overflows as the parser
-    rejects it."""
+    the trace's data read-only.  The scenario is checked by build_world,
+    so a run has at least one agent and one step."""
     world = build_world(scenario)
-    check_fields([("sim.t_end", scenario.t_end), ("sim.stride", scenario.stride)])
     dt, stride = scenario.dt, scenario.stride
-    n_steps = int(round(step_count(scenario.t_end, dt, ConfigurationError)))
-    if n_steps < 1:
-        raise ConfigurationError(f"t_end {scenario.t_end} shorter than one step dt={dt}")
+    n_steps = int(round(scenario.t_end / dt))
 
     radii, edges = world.const.radii, world.const.edges
-    if not radii:
-        rms_velocity(())  # raises: the first sampled row's RMS velocity is undefined
     couples, _ = world.const.couples
     slots = (*(("edge", a, b) for a, b in edges), *(("range", i, j) for i, j, _ in couples))
     slot_rsums = tuple(radii[i] + radii[j] for _, i, j in slots)

@@ -46,8 +46,8 @@ class InteractionParams(Record, keys=("interaction.c_max", "interaction.d_t", "i
 
     c_max : commanded-tilt saturation (rad), > 0
     d_t   : required coupling distance (m), > 0; must stay below the summed
-            interaction radii of any pair it is applied to (validated where
-            the radii are known, i.e. at scenario level)
+            interaction radii of each declared edge (checked with the radii,
+            by scenario.check_scenario, for the parser and build_world)
     eps   : half-width of the switching neighbourhood around d_t (m), > 0
     k1    : interaction stiffness (rad/m)
     """

@@ -8,10 +8,10 @@ tests a typed value against a row's type and bound.  ``check_fields`` is
 the one loop that checks values built in Python under their keys: each
 ``Record`` (``PlantParams``, ``PoleSpec``, ``Gains``,
 ``InteractionParams``) names its fields' keys once and hands it every
-field, ``WorldConstants`` its ``dt`` and radii, and ``engine.run`` the
-``sim.t_end`` and ``sim.stride`` it reads.  So each bound is stated here
-once and every error names the key.  This module imports nothing of the
-package but its errors, so every other module can read it.
+field, ``WorldConstants`` its ``dt`` and radii, and
+``scenario.check_scenario`` the values its relations read.  So each bound
+is stated here once and every error names the key.  This module imports
+nothing of the package but its errors, so every other module can read it.
 """
 
 import enum
@@ -141,13 +141,13 @@ def check(name, value, kind, bound, error, raw=None):
     return value
 
 
-def check_fields(items):
-    """check each (key, value) under its KEYS row, raising a
-    ConfigurationError; an indexed key (agent[0].radius) under its row
-    (agent[].radius).  The one check of a value built in Python."""
+def check_fields(items, error=ConfigurationError):
+    """check each (key, value) under its KEYS row, raising an `error`; an
+    indexed key (agent[0].radius) under its row (agent[].radius).  The one
+    check of a value built in Python."""
     for key, value in items:
         kind, _, bound, _ = _row(key)
-        check(key, value, kind, bound, ConfigurationError)
+        check(key, value, kind, bound, error)
 
 
 def step_count(t_end, dt, error):

@@ -10,15 +10,24 @@ table.  ``KEYS``, ``REQUIRED``, ``CommandKind``, ``InteractionVariant``,
 Either all of ``poles.*`` or all of ``gains.*`` give the feedback gains.
 Agent, edge and command indices must each be contiguous from 0.  Every
 validation error names the offending key.
+
+``check_scenario`` states every relation between a scenario's fields
+once (one gain source, a step count, agents, edges and command edges).
+The parser applies it to the scenario it builds, and
+``engine.build_world`` to every scenario it is given, so a ``Scenario``
+built in Python is refused, with the parser's message, wherever a scenario
+file would be.  The parser alone checks command times and synthesises the
+gains.
 """
 
 import re
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from itertools import zip_longest
 
 from .errors import ScenarioError, SynthesisError
 from .keys import (_INDEX, KEYS, REQUIRED, CommandKind, InteractionVariant,
-                   _field, _keys, _row, convert, is_scalar_key, step_count)
+                   _field, _keys, _row, check_fields, convert, is_scalar_key,
+                   step_count)
 from .modal import Gains, PoleSpec, place_gains, poles_from_spec
 from .plant import PlantParams
 
@@ -134,66 +143,74 @@ class _Entries:
             raise ScenarioError(f"{min(self.entries)}: unknown key")
 
 
+def check_scenario(s, error):
+    """Every relation between the fields of the scenario s, raised as an
+    `error` that names a key: first the values the relations read (sim.*,
+    interaction.d_t and each agent's radius) under their keys, as a
+    scenario file's are; then exactly one gain source; a t_end of at least
+    one step and a step count t_end/dt that does not overflow; at least one
+    agent; edges that join two distinct existing agents, each once, with
+    d_t < R_a + R_b; commands on existing edges.  The parser calls it with
+    ScenarioError, build_world with ConfigurationError.  Command times,
+    gain synthesis and the invariants of WorldConstants and World are
+    checked elsewhere."""
+    check_fields([("sim.dt", s.dt), ("sim.t_end", s.t_end), ("sim.stride", s.stride),
+                  ("interaction.d_t", s.d_t),
+                  *((f"agent[{i}].radius", a.radius) for i, a in enumerate(s.agents))], error)
+    if (s.poles is None) == (s.explicit_gains is None):
+        raise error("gains.kpos: poles.* and gains.* are mutually exclusive"
+                    if s.poles is not None else "poles.rl: one of poles.* and gains.* is required")
+    if s.t_end < s.dt:
+        raise error(f"sim.t_end: must cover at least one step of sim.dt={s.dt}")
+    step_count(s.t_end, s.dt, error)
+    if not s.agents:
+        raise error("agent[0].pos: at least one agent is required")
+    n_agents, seen = len(s.agents), set()
+    for k, (a, b) in enumerate(s.edges):
+        if not (0 <= a < n_agents and 0 <= b < n_agents):
+            raise error(f"edge[{k}].a: endpoints must name existing agents, got ({a}, {b})")
+        if a == b:
+            raise error(f"edge[{k}].a: endpoints must be distinct, got ({a}, {b})")
+        edge = (min(a, b), max(a, b))
+        if edge in seen:
+            raise error(f"edge[{k}].a: duplicate edge {edge}")
+        seen.add(edge)
+        rsum = s.agents[a].radius + s.agents[b].radius
+        if not s.d_t < rsum:
+            raise error(
+                f"edge[{k}].a: interaction.d_t={s.d_t} violates d_t < R_a + R_b = {rsum} "
+                "(the coupling distance must lie inside the pair's interaction range)")
+    for m, command in enumerate(s.commands):
+        if not 0 <= command.edge < len(s.edges):
+            raise error(f"command[{m}].edge: no such edge {command.edge}")
+
+
 def build_scenario(entries):
     e = _Entries(entries)
 
     plant = PlantParams(*map(e.value, _keys("plant")))
-
+    # the gain group whose keys are present, poles.* if neither is
     have_poles = any(k in e.entries for k in _keys("poles"))
     have_gains = any(k in e.entries for k in _keys("gains"))
-    if have_poles and have_gains:
-        raise ScenarioError("gains.kpos: poles.* and gains.* are mutually exclusive")
-    poles = None
-    explicit = None
-    if have_gains:
-        explicit = tuple(map(e.value, _keys("gains")))
-    else:
-        poles = PoleSpec(*map(e.value, _keys("poles")))
-
+    poles = PoleSpec(*map(e.value, _keys("poles"))) if have_poles or not have_gains else None
+    explicit = tuple(map(e.value, _keys("gains"))) if have_gains else None
     settings = {_field(k): e.value(k) for k in _keys("sim") + _keys("interaction")}
-    dt, t_end, d_t = settings["dt"], settings["t_end"], settings["d_t"]
-    if t_end < dt:
-        raise ScenarioError(f"sim.t_end: must cover at least one step of sim.dt={dt}")
-    step_count(t_end, dt, ScenarioError)
-
-    n_agents = e.group_indices("agent")
-    if n_agents == 0:
-        raise ScenarioError("agent[0].pos: at least one agent is required")
-    agents = [AgentInit(*map(e.value, _keys("agent", i))) for i in range(n_agents)]
-
-    n_edges = e.group_indices("edge")
-    edges = []
-    for k in range(n_edges):
-        a, b = map(e.value, _keys("edge", k))
-        if not (0 <= a < n_agents and 0 <= b < n_agents):
-            raise ScenarioError(f"edge[{k}].a: endpoints must name existing agents, got ({a}, {b})")
-        if a == b:
-            raise ScenarioError(f"edge[{k}].a: endpoints must be distinct, got ({a}, {b})")
-        a, b = min(a, b), max(a, b)
-        if (a, b) in edges:
-            raise ScenarioError(f"edge[{k}].a: duplicate edge ({a}, {b})")
-        rsum = agents[a].radius + agents[b].radius
-        if not d_t < rsum:
-            raise ScenarioError(
-                f"edge[{k}].a: interaction.d_t={d_t} violates d_t < R_a + R_b = {rsum} "
-                "(the coupling distance must lie inside the pair's interaction range)")
-        edges.append((a, b))
-
-    n_cmds = e.group_indices("command")
-    commands = []
-    for m in range(n_cmds):
-        t, kind, edge = map(e.value, _keys("command", m))
-        if not 0.0 <= t <= t_end:
-            raise ScenarioError(f"command[{m}].t: must lie in [0, t_end={t_end}], got {t}")
-        if not 0 <= edge < n_edges:
-            raise ScenarioError(f"command[{m}].edge: no such edge {edge}")
-        commands.append(Command(t, kind, edge))
-
+    agents = tuple(AgentInit(*map(e.value, _keys("agent", i)))
+                   for i in range(e.group_indices("agent")))
+    edges = tuple(tuple(map(e.value, _keys("edge", k))) for k in range(e.group_indices("edge")))
+    commands = tuple(Command(*map(e.value, _keys("command", m)))
+                     for m in range(e.group_indices("command")))
+    scenario = Scenario(plant=plant, poles=poles, explicit_gains=explicit, agents=agents,
+                        edges=edges, commands=commands, **settings)
+    check_scenario(scenario, ScenarioError)
+    for m, command in enumerate(commands):
+        if not 0.0 <= command.t <= scenario.t_end:
+            raise ScenarioError(f"command[{m}].t: must lie in [0, t_end={scenario.t_end}], "
+                                f"got {command.t}")
     e.reject_leftovers()
 
-    scenario = Scenario(plant=plant, poles=poles, explicit_gains=explicit,
-                        agents=tuple(agents), edges=tuple(edges),
-                        commands=tuple(commands), **settings)
+    # a file may name an edge's agents in either order; the engine takes a < b
+    scenario = replace(scenario, edges=tuple((min(edge), max(edge)) for edge in edges))
     # The scenario runs only if synthesis succeeds and leaves k_pos != 0;
     # check both here, with a key attached.
     try:

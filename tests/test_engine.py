@@ -86,9 +86,13 @@ def test_rms_velocity_values():
 
 
 def test_run_of_an_empty_swarm_raises_the_rms_error():
-    # the parser requires an agent; a Scenario built directly may have none
-    with pytest.raises(NumericDomainError, match="RMS velocity of an empty swarm"):
+    # a Scenario built directly is refused as the parser refuses a file
+    # without an agent, before its RMS velocity could be asked for
+    with pytest.raises(ConfigurationError) as err:
         run(make_scenario([]))
+    assert str(err.value) == "agent[0].pos: at least one agent is required"
+    with pytest.raises(NumericDomainError, match="RMS velocity of an empty swarm"):
+        rms_velocity(())
 
 
 def test_run_trace_shape_and_grid():
@@ -569,20 +573,22 @@ def test_runs_and_step_loops_are_deterministic(sc):
     again, metrics_again = run(sc)
     assert write_trace(trace) == write_trace(again) and metrics == metrics_again
 
-    # step() with run()'s command timing, up to the last sampled step
+    # step() with run()'s command timing, equal to every sampled row of the
+    # trace; build_world checks the scenario as run does
     w = build_world(sc)
     fired = [False] * len(sc.commands)
-    last_k = int(round(sc.t_end / sc.dt)) // sc.stride * sc.stride
-    while w.k < last_k:
-        active = set()
-        for c, cmd in enumerate(sc.commands):
-            if not fired[c] and w.t >= cmd.t - 1e-9:
-                fired[c] = True
-                active.add(cmd.edge)
-        w = step(w, active)
-    assert w.k == last_k and w.t == trace.data[-1, 0]
-    last = np.stack([trace.block(f)[-1] for f in ("pos", "vel", "tilt", "rate")], axis=1)
-    assert np.array_equal([[s.pos, s.vel, s.tilt, s.tilt_rate] for s in w.agents], last)
+    states = np.stack([trace.block(f) for f in ("pos", "vel", "tilt", "rate")], axis=2)
+    for row in range(trace.n_rows):
+        while w.k < row * sc.stride:
+            active = set()
+            for c, cmd in enumerate(sc.commands):
+                if not fired[c] and w.t >= cmd.t - 1e-9:
+                    fired[c] = True
+                    active.add(cmd.edge)
+            w = step(w, active)
+        assert w.t == trace.data[row, 0]
+        assert np.array_equal([[s.pos, s.vel, s.tilt, s.tilt_rate] for s in w.agents],
+                              states[row]), f"row {row}"
 
 
 def test_small_swarms_draw_a_release():

@@ -153,6 +153,45 @@ def test_poles_and_explicit_gains_are_exclusive():
                                  "gains.ktilt = -0.03\ngains.krate = -0.006\n")
 
 
+EDGE = "edge[0].a = 0\nedge[0].b = 1\n"
+# One minimal file per relation between a scenario's fields, with its message
+RELATIONS = {
+    "both gain sources": (MINIMAL + "gains.kpos = 0.03\ngains.kvel = 0.005\n"
+                          "gains.ktilt = -0.03\ngains.krate = -0.006\n",
+                          "gains.kpos: poles.* and gains.* are mutually exclusive"),
+    "t_end below dt": (MINIMAL + "sim.dt = 0.5\nsim.t_end = 0.25\n",
+                       "sim.t_end: must cover at least one step of sim.dt=0.5"),
+    "step count overflows": (MINIMAL + "sim.dt = 5e-324\n",
+                             "sim.dt: too small for sim.t_end=40.0: "
+                             "the step count t_end/dt overflows, got 5e-324"),
+    "no agent": (re.sub(r"agent\[.*\n", "", MINIMAL),
+                 "agent[0].pos: at least one agent is required"),
+    "edge to no agent": (MINIMAL + "edge[0].a = 9\nedge[0].b = 1\n",
+                         "edge[0].a: endpoints must name existing agents, got (9, 1)"),
+    "self edge": (MINIMAL + "edge[0].a = 1\nedge[0].b = 1\n",
+                  "edge[0].a: endpoints must be distinct, got (1, 1)"),
+    "edge declared twice": (MINIMAL + EDGE + "edge[1].a = 1\nedge[1].b = 0\n",
+                            "edge[1].a: duplicate edge (0, 1)"),
+    "d_t out of range": (MINIMAL.replace("d_t = 30.0", "d_t = 45.0") + EDGE,
+                         "edge[0].a: interaction.d_t=45.0 violates d_t < R_a + R_b = 40.0 "
+                         "(the coupling distance must lie inside the pair's interaction range)"),
+    "command on no edge": (MINIMAL + EDGE + "command[0].t = 5\ncommand[0].kind = uncouple\n"
+                                            "command[0].edge = 3\n",
+                           "command[0].edge: no such edge 3"),
+    "command after t_end": (MINIMAL + EDGE + "command[0].t = 99\ncommand[0].kind = uncouple\n"
+                                             "command[0].edge = 0\n",
+                            "command[0].t: must lie in [0, t_end=40.0], got 99.0"),
+}
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_each_relation_between_fields_is_refused_with_its_message(relation):
+    text, message = RELATIONS[relation]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+
+
 EXPLICIT_GAINS = (MINIMAL.replace("poles.rl = 12.0\n", "").replace(
     "poles.iml = 0.1\n", "").replace("poles.imr = 0.55\n", "")
     + "gains.kpos = 0.03\ngains.kvel = 0.005\ngains.ktilt = -0.038\ngains.krate = -0.0067\n")
