@@ -42,10 +42,10 @@ fields): once with the new pair states, once with the new agents.  Each
 rebuild checks that the state matches the world's constant parts, whose
 own checks (dt, k_pos, edges) ran once, when WorldConstants was built.
 build_world first checks the scenario with scenario.check_scenario, the
-parser's check of the relations between its fields, so a run states no
-rule of its own: a Scenario built in Python is refused, with a
-ConfigurationError worded as the parser's error, wherever a scenario file
-would be.
+parser's check of the relations between its fields, and takes the gains
+it synthesised, so a run states no rule of its own: a Scenario built in
+Python is refused, with the parser's ScenarioError and message, wherever
+a scenario file would be.
 
 A run samples the world every `stride` steps into a Trace (the velocity
 columns are the observed model output) and derives Metrics from it.  Each
@@ -77,7 +77,7 @@ from .interaction import (InteractionParams, PairState, corrected_positions,
 from . import output
 from .keys import check_fields
 from .plant import AgentState, _rk4, check_dt
-from .scenario import check_scenario
+from .scenario import check_scenario, ordered_edges
 
 TILT_LIMIT = 0.5  # rad; beyond this the small-angle model is suspect
 
@@ -377,14 +377,14 @@ def rms_velocity(velocities):
 
 
 def build_world(scenario):
-    """Materialise a scenario into the initial World, once check_scenario
-    has found every relation between its fields to hold (else a
-    ConfigurationError naming the key, worded as the parser's error)."""
-    check_scenario(scenario, ConfigurationError)
-    gains = scenario.resolved_gains()
+    """Materialise a scenario into the initial World, with the gains that
+    check_scenario returns once every relation between its fields holds
+    (else the parser's ScenarioError naming the key), and its edges in
+    the order the engine takes (ordered_edges)."""
+    gains = check_scenario(scenario)
     params = InteractionParams(scenario.c_max, scenario.d_t, scenario.eps,
                                scenario.variant, gains.k1)
-    const = WorldConstants(tuple(a.radius for a in scenario.agents), scenario.edges,
+    const = WorldConstants(tuple(a.radius for a in scenario.agents), ordered_edges(scenario.edges),
                            gains, scenario.plant, params, scenario.dt)
     agents = tuple(AgentState(a.pos, a.vel, a.tilt, a.rate) for a in scenario.agents)
     return World(0, agents, (PairState(),) * len(scenario.edges), const)

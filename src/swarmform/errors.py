@@ -11,7 +11,9 @@ class NumericDomainError(SwarmformError, ValueError):
 
 
 class ConfigurationError(SwarmformError, ValueError):
-    """A static parameter violates its contract (dt <= 0, c_max <= 0, ...)."""
+    """A static parameter violates its contract (dt <= 0, c_max <= 0, ...).
+    Raised as itself only by the contracts that name no scenario key (the
+    plant's dt, WorldConstants' k_pos and edges, World's lengths, ...)."""
 
 
 class SynthesisError(SwarmformError, ValueError):
@@ -20,9 +22,11 @@ class SynthesisError(SwarmformError, ValueError):
     unreachable, or the gains come out non-finite."""
 
 
-class ScenarioError(SwarmformError, ValueError):
-    """Scenario text failed to parse or validate.  The message always names
-    the offending key."""
+class ScenarioError(ConfigurationError):
+    """A scenario, from text or built in Python, breaks a rule of one of its
+    keys: a value's type or bound, or a relation between fields.  The
+    message always names the offending key (or the line or file that
+    could not be read)."""
 
 
 class SimulationAbort(SwarmformError, RuntimeError):

@@ -10,7 +10,8 @@ the one loop that checks values built in Python under their keys: each
 ``InteractionParams``) names its fields' keys once and hands it every
 field, ``WorldConstants`` its ``dt`` and radii, and
 ``scenario.check_scenario`` the values its relations read.  So each bound
-is stated here once and every error names the key.  This module imports
+is stated here once, and every error is a ScenarioError naming the key,
+whether the value came from text or from Python.  This module imports
 nothing of the package but its errors, so every other module can read it.
 """
 
@@ -19,7 +20,7 @@ import math
 import numbers
 import re
 
-from .errors import ConfigurationError, ScenarioError
+from .errors import ScenarioError
 
 REQUIRED = "required"
 
@@ -116,49 +117,38 @@ def convert(name, raw, kind=float, bound=None):
         value = raw if "_" in raw and kind in (float, int) else kind(raw)
     except ValueError:
         value = raw
-    return check(name, value, kind, bound, ScenarioError, raw)
+    return check(name, value, kind, bound, raw)
 
 
 # the values a float or int key takes; bool, though an int, is refused apart
 _NUMBERS = {float: numbers.Real, int: numbers.Integral}
 
 
-def check(name, value, kind, bound, error, raw=None):
+def check(name, value, kind, bound, raw=None):
     """value, if it is of kind (a number for a float or int, never a bool),
-    finite and within bound; else an error of the given type naming name.
-    A message shows raw, the text value was read from, when given."""
+    finite and within bound; else a ScenarioError naming name.  A message
+    shows raw, the text value was read from, when given."""
     shown = repr(value if raw is None else raw)
     if isinstance(value, bool) or not isinstance(value, _NUMBERS.get(kind, kind)):
         if issubclass(kind, enum.Enum):
             names = ", ".join(v.value for v in kind)
-            raise error(f"{name}: not of type {kind.__name__}: {shown}" if raw is None
-                        else f"{name}: unknown value {shown} (one of: {names})")
-        raise error(f"{name}: not {'a number' if kind is float else 'an integer'}: {shown}")
+            raise ScenarioError(f"{name}: not of type {kind.__name__}: {shown}" if raw is None
+                                else f"{name}: unknown value {shown} (one of: {names})")
+        raise ScenarioError(f"{name}: not {'a number' if kind is float else 'an integer'}: {shown}")
     if kind is float and not math.isfinite(value):
-        raise error(f"{name}: must be finite, got {shown}")
+        raise ScenarioError(f"{name}: must be finite, got {shown}")
     if bound and not (value > 0 if bound == "> 0" else value >= 0):
-        raise error(f"{name}: must be {bound}, got {value}")
+        raise ScenarioError(f"{name}: must be {bound}, got {value}")
     return value
 
 
-def check_fields(items, error=ConfigurationError):
-    """check each (key, value) under its KEYS row, raising an `error`; an
-    indexed key (agent[0].radius) under its row (agent[].radius).  The one
-    check of a value built in Python."""
+def check_fields(items):
+    """check each (key, value) under its KEYS row; an indexed key
+    (agent[0].radius) under its row (agent[].radius).  The one check of a
+    value built in Python."""
     for key, value in items:
         kind, _, bound, _ = _row(key)
-        check(key, value, kind, bound, error)
-
-
-def step_count(t_end, dt, error):
-    """t_end / dt, the step count before rounding, of a checked sim.t_end
-    and sim.dt.  One that overflows (a tiny dt) is an `error` naming
-    sim.dt, for the parser and engine.run alike."""
-    steps = t_end / dt
-    if not math.isfinite(steps):
-        raise error(f"sim.dt: too small for sim.t_end={t_end}: "
-                    f"the step count t_end/dt overflows, got {dt}")
-    return steps
+        check(key, value, kind, bound)
 
 
 class Record:

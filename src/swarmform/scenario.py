@@ -12,22 +12,24 @@ Agent, edge and command indices must each be contiguous from 0.  Every
 validation error names the offending key.
 
 ``check_scenario`` states every relation between a scenario's fields
-once (one gain source, a step count, agents, edges and command edges).
-The parser applies it to the scenario it builds, and
+once (one gain source, a step count, agents, edges, command edges and
+gains that synthesise), and checks under their keys the fields those
+relations read.  The parser applies it to the scenario it builds, and
 ``engine.build_world`` to every scenario it is given, so a ``Scenario``
-built in Python is refused, with the parser's message, wherever a scenario
-file would be.  The parser alone checks command times and synthesises the
-gains.
+built in Python is refused, with the parser's ScenarioError and message,
+wherever a scenario file would be.  The parser alone checks command
+times.  ``ordered_edges`` puts each edge's agents in the order the engine
+takes, for the parser and ``build_world`` alike.
 """
 
+import math
 import re
 from dataclasses import astuple, dataclass, replace
 from itertools import zip_longest
 
 from .errors import ScenarioError, SynthesisError
 from .keys import (_INDEX, KEYS, REQUIRED, CommandKind, InteractionVariant,
-                   _field, _keys, _row, check_fields, convert, is_scalar_key,
-                   step_count)
+                   _field, _keys, _row, check_fields, convert, is_scalar_key)
 from .modal import Gains, PoleSpec, place_gains, poles_from_spec
 from .plant import PlantParams
 
@@ -75,8 +77,7 @@ class Scenario:
         with k1 defaulting to the position gain."""
         if self.explicit_gains is None:
             return place_gains(self.plant, poles_from_spec(self.poles), self.k1)
-        k_pos = self.explicit_gains[0]
-        return Gains(*self.explicit_gains, k_pos if self.k1 is None else self.k1)
+        return Gains(*self.explicit_gains, self.explicit_gains[0] if self.k1 is None else self.k1)
 
 
 def read_entries(text):
@@ -104,8 +105,7 @@ def parse_scenario_with(text, overrides):
     file's entries (used for command-line --dt/--t-end style adjustments
     and parameter sweeps)."""
     entries = read_entries(text)
-    for key, value in overrides.items():
-        entries[key] = _fmt(value)
+    entries.update((key, _fmt(value)) for key, value in overrides.items())
     return build_scenario(entries)
 
 
@@ -143,46 +143,67 @@ class _Entries:
             raise ScenarioError(f"{min(self.entries)}: unknown key")
 
 
-def check_scenario(s, error):
-    """Every relation between the fields of the scenario s, raised as an
-    `error` that names a key: first the values the relations read (sim.*,
-    interaction.d_t and each agent's radius) under their keys, as a
-    scenario file's are; then exactly one gain source; a t_end of at least
-    one step and a step count t_end/dt that does not overflow; at least one
-    agent; edges that join two distinct existing agents, each once, with
-    d_t < R_a + R_b; commands on existing edges.  The parser calls it with
-    ScenarioError, build_world with ConfigurationError.  Command times,
-    gain synthesis and the invariants of WorldConstants and World are
-    checked elsewhere."""
-    check_fields([("sim.dt", s.dt), ("sim.t_end", s.t_end), ("sim.stride", s.stride),
-                  ("interaction.d_t", s.d_t),
-                  *((f"agent[{i}].radius", a.radius) for i, a in enumerate(s.agents))], error)
+def ordered_edges(edges):
+    """Each edge as (a, b) with a < b, the order the engine takes; a
+    scenario may name an edge's agents in either order."""
+    return tuple((min(edge), max(edge)) for edge in edges)
+
+
+def check_scenario(s):
+    """The gains of the scenario s, once every relation between its fields
+    holds; else a ScenarioError naming a key.  First the values the
+    relations read (sim.*, interaction.d_t, each agent's radius, each
+    edge's agents, each command's kind and edge) under their keys, as a
+    scenario file's are; then exactly one gain source, and four explicit
+    gains if they are the source; a t_end of at least one step and a step
+    count t_end/dt that does not overflow; at least one agent; edges that
+    join two distinct existing agents, each once, with d_t < R_a + R_b;
+    commands on existing edges; last, gains that synthesise with k_pos != 0.
+    The parser and build_world both call it.  Command times and the
+    invariants of WorldConstants and World are checked elsewhere."""
+    check_fields([*((k, getattr(s, _field(k))) for k in (*_keys("sim"), "interaction.d_t")),
+                  *((f"agent[{i}].radius", a.radius) for i, a in enumerate(s.agents)),
+                  *(kv for k, edge in enumerate(s.edges) for kv in zip(_keys("edge", k), edge)),
+                  *(kv for m, c in enumerate(s.commands)
+                    for kv in ((f"command[{m}].kind", c.kind), (f"command[{m}].edge", c.edge)))])
     if (s.poles is None) == (s.explicit_gains is None):
-        raise error("gains.kpos: poles.* and gains.* are mutually exclusive"
-                    if s.poles is not None else "poles.rl: one of poles.* and gains.* is required")
+        raise ScenarioError("poles.rl: one of poles.* and gains.* is required" if s.poles is None
+                            else "gains.kpos: poles.* and gains.* are mutually exclusive")
+    if s.explicit_gains is not None and len(s.explicit_gains) != 4:
+        key = _keys("gains")[min(len(s.explicit_gains), 3)]  # the first missing, or the last
+        raise ScenarioError(f"{key}: gains.* takes 4 values, got {len(s.explicit_gains)}")
     if s.t_end < s.dt:
-        raise error(f"sim.t_end: must cover at least one step of sim.dt={s.dt}")
-    step_count(s.t_end, s.dt, error)
+        raise ScenarioError(f"sim.t_end: must cover at least one step of sim.dt={s.dt}")
+    if not math.isfinite(s.t_end / s.dt):
+        raise ScenarioError(f"sim.dt: too small for sim.t_end={s.t_end}: "
+                            f"the step count t_end/dt overflows, got {s.dt}")
     if not s.agents:
-        raise error("agent[0].pos: at least one agent is required")
+        raise ScenarioError("agent[0].pos: at least one agent is required")
     n_agents, seen = len(s.agents), set()
-    for k, (a, b) in enumerate(s.edges):
+    for k, ((a, b), edge) in enumerate(zip(s.edges, ordered_edges(s.edges))):
         if not (0 <= a < n_agents and 0 <= b < n_agents):
-            raise error(f"edge[{k}].a: endpoints must name existing agents, got ({a}, {b})")
+            raise ScenarioError(f"edge[{k}].a: endpoints must name existing agents, got ({a}, {b})")
         if a == b:
-            raise error(f"edge[{k}].a: endpoints must be distinct, got ({a}, {b})")
-        edge = (min(a, b), max(a, b))
+            raise ScenarioError(f"edge[{k}].a: endpoints must be distinct, got ({a}, {b})")
         if edge in seen:
-            raise error(f"edge[{k}].a: duplicate edge {edge}")
+            raise ScenarioError(f"edge[{k}].a: duplicate edge {edge}")
         seen.add(edge)
         rsum = s.agents[a].radius + s.agents[b].radius
         if not s.d_t < rsum:
-            raise error(
+            raise ScenarioError(
                 f"edge[{k}].a: interaction.d_t={s.d_t} violates d_t < R_a + R_b = {rsum} "
                 "(the coupling distance must lie inside the pair's interaction range)")
     for m, command in enumerate(s.commands):
         if not 0 <= command.edge < len(s.edges):
-            raise error(f"command[{m}].edge: no such edge {command.edge}")
+            raise ScenarioError(f"command[{m}].edge: no such edge {command.edge}")
+    try:
+        gains = s.resolved_gains()
+    except SynthesisError as err:
+        raise ScenarioError(f"poles.rl: gain synthesis failed: {err}")
+    if gains.k_pos == 0:
+        key = "poles.rl" if s.explicit_gains is None else "gains.kpos"
+        raise ScenarioError(f"{key}: k_pos must be nonzero (corrected coordinates divide by it)")
+    return gains
 
 
 def build_scenario(entries):
@@ -202,25 +223,13 @@ def build_scenario(entries):
                      for m in range(e.group_indices("command")))
     scenario = Scenario(plant=plant, poles=poles, explicit_gains=explicit, agents=agents,
                         edges=edges, commands=commands, **settings)
-    check_scenario(scenario, ScenarioError)
+    check_scenario(scenario)
     for m, command in enumerate(commands):
         if not 0.0 <= command.t <= scenario.t_end:
             raise ScenarioError(f"command[{m}].t: must lie in [0, t_end={scenario.t_end}], "
                                 f"got {command.t}")
     e.reject_leftovers()
-
-    # a file may name an edge's agents in either order; the engine takes a < b
-    scenario = replace(scenario, edges=tuple((min(edge), max(edge)) for edge in edges))
-    # The scenario runs only if synthesis succeeds and leaves k_pos != 0;
-    # check both here, with a key attached.
-    try:
-        gains = scenario.resolved_gains()
-    except SynthesisError as err:
-        raise ScenarioError(f"poles.rl: gain synthesis failed: {err}")
-    if gains.k_pos == 0:
-        key = "poles.rl" if explicit is None else "gains.kpos"
-        raise ScenarioError(f"{key}: k_pos must be nonzero (corrected coordinates divide by it)")
-    return scenario
+    return replace(scenario, edges=ordered_edges(edges))
 
 
 def _values(s):

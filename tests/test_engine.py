@@ -18,7 +18,7 @@ from swarmform import (AgentState, ConfigurationError, InteractionVariant,
                        WorldConstants, build_world, delta_rms, engine,
                        parse_scenario_with, rk4_step, rms_velocity, run, step,
                        write_trace)
-from swarmform.scenario import AgentInit, Command, Scenario
+from swarmform.scenario import AgentInit, Command, CommandKind, Scenario
 
 from conftest import scenario_text
 
@@ -528,7 +528,8 @@ def small_swarms(draw):
         if draw(st.booleans()):
             speed = agents[a].vel - agents[b].vel
             reach = max(agents[b].pos - agents[a].pos - 30.0, 0.0) / speed if speed > 0 else 0.0
-            commands.append(Command(min(reach + draw(st.floats(0.0, 0.2)), t_end), "uncouple", e))
+            commands.append(Command(min(reach + draw(st.floats(0.0, 0.2)), t_end),
+                                    CommandKind.UNCOUPLE, e))
     return make_scenario(agents, edges, commands,
                          # the switching variants first: they are drawn more often
                          variant=draw(st.sampled_from(list(InteractionVariant)[::-1])),
@@ -547,7 +548,7 @@ def released_at(*times, pairs=1):
         agents += [AgentInit(1000.0 * e, 2.25, 0.0, 0.0, 20.0),
                    AgentInit(1000.0 * e + 45.0, -2.25, 0.0, 0.0, 20.0)]
         edges.append((2 * e, 2 * e + 1))
-        commands += [Command(t, "uncouple", e) for t in times]
+        commands += [Command(t, CommandKind.UNCOUPLE, e) for t in times]
     return make_scenario(agents, edges, commands,
                          variant=InteractionVariant.SWITCHING_STEP, dt=0.005, t_end=9.0, stride=5)
 

@@ -4,10 +4,12 @@ PlantParams, PoleSpec, Gains and InteractionParams are keys.Record
 subclasses: each names its fields' keys once, when the class is made, so a
 construction looks no key up by group and reads no key through the index
 regex.  build_world, and so run, checks a Scenario with
-scenario.check_scenario, the parser's check of the relations between
-fields, so a Scenario built in Python that breaks sim.t_end or
-sim.stride, or a relation, fails with the key named, as one from a
-scenario file does, and with the parser's message.
+scenario.check_scenario, the parser's check of its fields and of the
+relations between them, gain synthesis included, so a Scenario built in
+Python that breaks sim.t_end or sim.stride, an edge, command or gain
+field, or a relation, fails with the key named, as one from a scenario
+file does: with the parser's ScenarioError and message.  A ScenarioError
+is a ConfigurationError, so the tests that expect the latter hold it too.
 """
 
 import math
@@ -18,7 +20,9 @@ import pytest
 from swarmform import (ConfigurationError, Gains, InteractionParams, InteractionVariant,
                        PlantParams, PoleSpec, ScenarioError, build_world, keys, parse_scenario,
                        parse_scenario_with, run, serialize_scenario)
-from swarmform.scenario import AgentInit, Command, Scenario
+from swarmform.scenario import AgentInit, Command, CommandKind, Scenario
+
+from conftest import scenario_text
 
 PLANT = PlantParams(6.0, 25.0, 9.8)
 POLES = PoleSpec(12.0, 0.1, 0.55)
@@ -70,7 +74,7 @@ BROKEN = {
     "both gain sources": ("gains.kpos",  # the explicit gains won
                           replace(SCENARIO, explicit_gains=(0.03, 0.005, -0.03, -0.006))),
     "command on no edge": ("command[0].edge",  # never fired
-                           replace(EDGED, commands=(Command(0.01, "uncouple", 5),))),
+                           replace(EDGED, commands=(Command(0.01, CommandKind.UNCOUPLE, 5),))),
     "d_t out of range": ("edge[0].a", replace(EDGED, d_t=100.0)),  # never coupled
     "edge declared twice": ("edge[1].a", replace(SCENARIO, edges=((0, 1), (0, 1)))),  # 2x force
     "t_end below dt": ("sim.t_end", replace(SCENARIO, t_end=0.7 * SCENARIO.dt)),  # one step
@@ -112,3 +116,78 @@ def test_run_rejects_a_step_count_that_overflows_as_the_parser_does():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_with(serialize_scenario(SCENARIO), {"sim.t_end": 1e300, "sim.dt": 1e-10})
     assert str(err.value) == message
+
+
+def test_a_key_named_error_is_a_scenario_error_and_a_configuration_error():
+    with pytest.raises(ScenarioError) as err:
+        PlantParams(0.0, 25.0, 9.8)
+    assert isinstance(err.value, ConfigurationError)
+    assert str(err.value) == "plant.kp: must be > 0, got 0.0"
+
+
+SWITCHING = parse_scenario_with(scenario_text("two_agent_switching_step"),
+                                {"sim.t_end": 12.0, "command[0].t": 10.0})
+# Scenarios built in Python whose gains cannot be used, with the start of
+# each message; before check_scenario synthesised the gains, build_world
+# raised the error in the comment, which named no key
+NO_GAINS = {
+    "no position gain placed": ("poles.rl: k_pos must be nonzero (",  # ConfigurationError
+                                replace(SWITCHING, poles=PoleSpec(0.0, 0.0, 0.55))),
+    "explicit k_pos = 0": ("gains.kpos: k_pos must be nonzero (",  # ConfigurationError
+                           replace(SWITCHING, poles=None,
+                                   explicit_gains=(0.0, 0.005, -0.03, -0.006))),
+    "plant.g = 5e-324": ("poles.rl: gain synthesis failed: ",  # SynthesisError
+                         replace(SWITCHING, plant=PlantParams(6.0, 25.0, 5e-324))),
+    "poles.imr = 1e200": ("poles.rl: gain synthesis failed: ",  # SynthesisError
+                          replace(SWITCHING, poles=replace(SWITCHING.poles, imr=1e200))),
+}
+
+
+@pytest.mark.parametrize("case", NO_GAINS)
+def test_gains_that_cannot_be_used_are_refused_as_in_a_file(case):
+    start, scenario = NO_GAINS[case]
+    for entry in (run, build_world):
+        with pytest.raises(ScenarioError) as err:
+            entry(scenario)
+        assert str(err.value).startswith(start)
+    with pytest.raises(ScenarioError) as from_text:
+        parse_scenario(serialize_scenario(scenario))
+    assert str(err.value) == str(from_text.value)
+
+
+# Fields of a Scenario built in Python that a relation reads or the run
+# indexes with, each with its message; before check_scenario checked them,
+# each failed or ran as its comment says
+BAD_FIELDS = {
+    "edge agent 0.5": ("edge[0].a: not an integer: 0.5",  # TypeError
+                       replace(SCENARIO, edges=((0.5, 1),))),
+    "command edge 0.0": ("command[0].edge: not an integer: 0.0",  # ran
+                         replace(EDGED, commands=(Command(0.01, CommandKind.UNCOUPLE, 0.0),))),
+    "command kind 'explode'": ("command[0].kind: not of type CommandKind: 'explode'",  # uncoupled
+                               replace(EDGED, commands=(Command(0.01, "explode", 0),))),
+    "three explicit gains": ("gains.krate: gains.* takes 4 values, got 3",  # TypeError
+                             replace(SCENARIO, poles=None, explicit_gains=(0.03, 0.005, -0.03))),
+    "five explicit gains": ("gains.krate: gains.* takes 4 values, got 5",  # TypeError
+                            replace(SCENARIO, poles=None, explicit_gains=(0.03,) * 5)),
+    "no explicit gain": ("gains.kpos: gains.* takes 4 values, got 0",  # IndexError
+                         replace(SCENARIO, poles=None, explicit_gains=())),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FIELDS)
+def test_an_edge_command_or_gain_field_built_in_python_is_named(case):
+    message, scenario = BAD_FIELDS[case]
+    for entry in (run, build_world):
+        with pytest.raises(ScenarioError) as err:
+            entry(scenario)
+        assert str(err.value) == message
+
+
+def test_an_edge_may_name_its_agents_in_either_order():
+    flipped = replace(SWITCHING, edges=((1, 0),))
+    assert SWITCHING.edges == build_world(flipped).const.edges == ((0, 1),)
+    (trace, metrics), (flipped_trace, flipped_metrics) = run(SWITCHING), run(flipped)
+    assert metrics.coupling_events and metrics == flipped_metrics
+    assert trace.data.tobytes() == flipped_trace.data.tobytes()
+    # the parser puts a file's edge in the same order
+    assert parse_scenario(serialize_scenario(flipped)) == SWITCHING

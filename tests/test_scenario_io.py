@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import importlib.util
 import itertools
 import math
 import os
@@ -20,7 +21,7 @@ from swarmform import (AgentInit, Command, ConfigurationError, InteractionVarian
                        SimulationAbort, build_world, parse_scenario, parse_scenario_with,
                        render_svg, run, serialize_scenario, step, write_report, write_trace)
 from swarmform import cli, engine, output
-from swarmform.scenario import KEYS, REQUIRED, is_scalar_key
+from swarmform.scenario import KEYS, REQUIRED, CommandKind, is_scalar_key
 
 from conftest import REPO, SCENARIOS, scenario_text
 
@@ -246,7 +247,7 @@ def scenarios(draw):
     edges = tuple(draw(st.lists(st.sampled_from(reachable), unique=True))) if reachable else ()
     dt = draw(st.floats(1e-4, 1e-2))
     t_end = draw(st.floats(dt, 100.0))
-    commands = tuple(Command(draw(st.floats(0.0, t_end)), "uncouple",
+    commands = tuple(Command(draw(st.floats(0.0, t_end)), CommandKind.UNCOUPLE,
                              draw(st.integers(0, len(edges) - 1)))
                      for _ in range(draw(st.integers(0, 3 if edges else 0))))
     sc = Scenario(plant, poles, gains, agents, draw(st.sampled_from(InteractionVariant)),
@@ -379,34 +380,21 @@ def test_readme_key_table_matches_keys():
         assert (kind, default, bound) == (expected, expected_default, expected_bound), key
 
 
+# every one-line mutation of every shipped scenario, as tools/mutation_diff.py makes them
+_SPEC = importlib.util.spec_from_file_location("mutation_diff", REPO / "tools" / "mutation_diff.py")
+mutation_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(mutation_diff)
 SHIPPED = sorted(p.stem for p in SCENARIOS.glob("*.cfg"))
-HOSTILE = ("0", "-1", "1e-320", "5e-324", "nan", "inf", "word", "9", "1_0")
 
 
-@st.composite
-def one_line_mutations(draw):
-    """A shipped scenario with one setting changed: its value to a hostile
-    one, or its agent/edge/command index to one past the end."""
-    lines = scenario_text(draw(st.sampled_from(SHIPPED))).splitlines()
-    i = draw(st.sampled_from([i for i, line in enumerate(lines) if "=" in line]))
-    key, value = (part.strip() for part in lines[i].split("=", 1))
-    if "[" in key and draw(st.booleans()):
-        key = re.sub(r"\[\d+\]", "[9]", key)
-    else:
-        value = draw(st.sampled_from(HOSTILE))
-    lines[i] = f"{key} = {value}"
-    return "\n".join(lines)
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(one_line_mutations())
-def test_hostile_one_line_mutations_are_named_or_runnable(text):
-    try:
-        sc = parse_scenario(text)
-    except ScenarioError as err:
-        assert re.match(r"(line \d+|[a-z]+(\[\d+\])?(\.[a-z_]+)?): ", str(err)), str(err)
-        return
-    step(build_world(sc))
+def test_hostile_one_line_mutations_are_named_or_runnable():
+    for label, text in mutation_diff.mutations(SHIPPED):
+        try:
+            sc = parse_scenario(text)
+        except ScenarioError as err:
+            assert re.match(r"(line \d+|[a-z]+(\[\d+\])?(\.[a-z_]+)?): ", str(err)), label
+            continue
+        step(build_world(sc))
 
 
 # --- writers ----------------------------------------------------------------
