@@ -63,7 +63,6 @@ included) whose tilt exceeds TILT_LIMIT; step() never warns.
 import math
 import warnings
 from array import array
-from itertools import chain
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -424,7 +423,7 @@ def run(scenario):
     states, commands, seps, fens = array("d"), array("d"), array("d"), array("d")
     # range separations come as a list below ARRAY_COUPLES, as a float64 array from it
     # on, appended as its bytes without a copy (frombytes refuses the array itself)
-    add_range_seps = (seps.extend if len(couples) < ARRAY_COUPLES
+    add_range_seps = (seps.fromlist if len(couples) < ARRAY_COUPLES
                       else lambda range_d: seps.frombytes(range_d.data.cast("B")))
     coupling_events = []
     uncoupling_events = []
@@ -476,11 +475,12 @@ def run(scenario):
             world = replace(world, pairs=pairs)
 
             if k % stride == 0:
-                states.extend(chain.from_iterable(world.agents))
-                commands.extend(us)
-                seps.extend(edge_d)
+                # fromlist, as extend grows the buffer one item at a time
+                states.fromlist([x for s in world.agents for x in s])
+                commands.fromlist(us)
+                seps.fromlist(edge_d)
                 add_range_seps(range_d)
-                fens.extend([p.f_en for p in pairs])
+                fens.fromlist([p.f_en for p in pairs])
                 sampled = k // stride + 1
                 if sampled - r0 == block or sampled == n_rows:
                     fill(r0, sampled)

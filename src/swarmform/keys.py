@@ -9,9 +9,10 @@ the one loop that checks values built in Python under their keys: each
 ``Record`` (``PlantParams``, ``PoleSpec``, ``Gains``,
 ``InteractionParams``) names its fields' keys once and hands it every
 field, ``WorldConstants`` its ``dt`` and radii, and
-``scenario.check_scenario`` the values its relations read.  So each bound
-is stated here once, and every error is a ScenarioError naming the key,
-whether the value came from text or from Python.  This module imports
+``scenario.check_scenario`` the values its relations read and every
+field of each agent.  So each bound is stated here once, and every error
+is a ScenarioError naming the key, whether the value came from text or
+from Python.  This module imports
 nothing of the package but its errors, so every other module can read it.
 """
 

@@ -4,7 +4,9 @@ Everything here is a pure function of its inputs with fixed formatting, so
 identical runs produce byte-identical files and golden-file regression is
 the same thing as numerical regression.  Floats are written with 17
 significant digits, which round-trips IEEE doubles exactly; event times
-take the 12 of format_short.
+take the 12 of format_short.  The CSV trace holds every sample; an SVG
+polyline holds the M4 points of each pixel column (_m4), which draw the
+same line at the plot's width.
 
 The simulation is single-threaded, and so is every writer.  The one other
 process is a run's Feed: for a trace of at least 2 * FORK_VALUES values,
@@ -278,12 +280,39 @@ def _tick_label(v):
     return format(v, ".6g")
 
 
+def _m4(col, series):
+    """For each series, the indices of its M4 points (Jugel et al., VLDB
+    2014), increasing: of each run of samples with equal col, the first
+    and the last sample and the first samples that reach the run's minimum
+    and its maximum.  col is the samples' pixel column, nondecreasing, and
+    a run of one sample keeps it, so where every sample has a column of its
+    own, every index is kept."""
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(col)) + 1))
+    lengths = np.diff(starts, append=len(col))
+    kept = []
+    for s in series:
+        keep = np.zeros(len(s), dtype=bool)
+        keep[starts] = keep[starts + lengths - 1] = True
+        for extreme in (np.minimum, np.maximum):
+            hits = np.flatnonzero(s == np.repeat(extreme.reduceat(s, starts), lengths))
+            keep[hits[np.searchsorted(hits, starts)]] = True  # each run's first hit
+        kept.append(np.flatnonzero(keep))
+    return kept
+
+
 def render_svg(trace, columns, title=""):
     """Line chart of the selected trace columns against time.
 
-    Adds dashed vertical markers where any coupling indicator in the trace
-    rises (coupling) or falls (uncoupling).  A selected column holding a
-    non-finite value is a NumericDomainError naming it.
+    Each series' polyline holds its M4 points: of the samples in each
+    pixel column, the first, the last and the first to reach the column's
+    minimum and maximum (_m4), in time order.  So a trace in which every
+    sample has a column of its own is drawn through every sample, and a
+    denser one through at most four per column; write_trace keeps every
+    sample.  The rest is computed from every sample: axes, ticks, the y
+    range, the legend and the dashed vertical markers where any coupling
+    indicator in the trace rises (coupling) or falls (uncoupling).  A
+    selected column holding a non-finite value is a NumericDomainError
+    naming it.
     """
     if not columns:
         raise ConfigurationError(
@@ -360,12 +389,15 @@ def render_svg(trace, columns, title=""):
                        f'stroke="{color}" stroke-dasharray="4,3" stroke-width="1"/>')
             out.append(f'<text x="{X + 2:.2f}" y="{_MT + 11}" fill="{color}">{label}</text>')
 
-    # data series, each polyline's points formatted by one % call over x, y, x, y, ...
+    # data series: each polyline holds the M4 points of its pixel columns,
+    # px's arithmetic floored (the last sample, at x1, into the last
+    # column), formatted by one % call over x, y, x, y, ...
     xs = px(t - x0)
-    points = " ".join(["%.2f,%.2f"] * len(xs))
-    for si, s in enumerate(series):
+    col = np.minimum(np.floor((t - x0) / (x1 - x0) * pw), pw - 1)
+    for si, (s, kept) in enumerate(zip(series, _m4(col, series))):
         color = _PALETTE[si % len(_PALETTE)]
-        pts = points % tuple(np.column_stack((xs, py(s - lo))).ravel().tolist())
+        pts = " ".join(["%.2f,%.2f"] * len(kept)) % tuple(
+            np.column_stack((xs[kept], py(s[kept] - lo))).ravel().tolist())
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
 
     # legend

@@ -14,7 +14,7 @@ validation error names the offending key.
 ``check_scenario`` states every relation between a scenario's fields
 once (one gain source, a step count, agents, edges, command edges and
 gains that synthesise), and checks under their keys the fields those
-relations read.  The parser applies it to the scenario it builds, and
+relations read and every agent's fields.  The parser applies it to the scenario it builds, and
 ``engine.build_world`` to every scenario it is given, so a ``Scenario``
 built in Python is refused, with the parser's ScenarioError and message,
 wherever a scenario file would be.  The parser alone checks command
@@ -151,18 +151,23 @@ def ordered_edges(edges):
 
 def check_scenario(s):
     """The gains of the scenario s, once every relation between its fields
-    holds; else a ScenarioError naming a key.  First the values the
-    relations read (sim.*, interaction.d_t, each agent's radius, each
-    edge's agents, each command's kind and edge) under their keys, as a
-    scenario file's are; then exactly one gain source, and four explicit
-    gains if they are the source; a t_end of at least one step and a step
+    holds; else a ScenarioError naming a key.  First that each edge names
+    two agents; then, under their keys as a scenario file's are, every
+    field of each agent and the values the relations read (sim.*,
+    interaction.d_t, each edge's agents, each command's kind and edge);
+    then exactly one gain source, and four explicit gains if they are the
+    source; a t_end of at least one step and a step
     count t_end/dt that does not overflow; at least one agent; edges that
     join two distinct existing agents, each once, with d_t < R_a + R_b;
     commands on existing edges; last, gains that synthesise with k_pos != 0.
     The parser and build_world both call it.  Command times and the
     invariants of WorldConstants and World are checked elsewhere."""
+    for k, edge in enumerate(s.edges):
+        if len(edge) != 2:
+            raise ScenarioError(f"edge[{k}].b: an edge joins 2 agents, got {len(edge)}")
     check_fields([*((k, getattr(s, _field(k))) for k in (*_keys("sim"), "interaction.d_t")),
-                  *((f"agent[{i}].radius", a.radius) for i, a in enumerate(s.agents)),
+                  *(kv for i, a in enumerate(s.agents)
+                    for kv in zip(_keys("agent", i), astuple(a))),
                   *(kv for k, edge in enumerate(s.edges) for kv in zip(_keys("edge", k), edge)),
                   *(kv for m, c in enumerate(s.commands)
                     for kv in ((f"command[{m}].kind", c.kind), (f"command[{m}].edge", c.edge)))])

@@ -71,6 +71,31 @@ def test_bound_broken_follows_the_metric_direction(better, worse):
     assert not broken(1.0 + (worse - 1.0) / 3)  # 10 % worse, inside the bound
 
 
+@pytest.mark.parametrize("better, sign", [("lower", -1.0), ("higher", 1.0)])
+def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved(better, sign,
+                                                                         capsys):
+    # setup_s-like runs: the parent's quartile distance is 40 % of its
+    # median, past the 25 % bound
+    parent = [0.03, 0.05, 0.04, 0.06, 0.035, 0.045, 0.055, 0.04, 0.05, 0.03]
+    q1, median, q3 = ab_bench.quartiles(parent)
+    assert q3 - q1 > 0.25 * median
+
+    def unresolved(parent_runs, change_runs):
+        return ab_bench.compare(parent_runs, change_runs, better, 0.25, False)["unresolved"]
+
+    assert unresolved(parent, parent)
+    assert unresolved(parent, [v + sign * 0.01 for v in parent])  # better in every pair
+    # every change run better than every parent run
+    best = max(parent) if better == "higher" else min(parent)
+    assert not unresolved(parent, [best + sign * 0.001] * 10)
+    assert not unresolved(PARENT, PARENT)  # a quartile distance of 0.6 % of the median
+    assert not unresolved([0.0] * 10, [1.0] * 10)  # no spread at a zero median
+    # the verdict column says so
+    runs = {"w": {"parent": [result(v) for v in parent], "change": [result(v) for v in parent]}}
+    ab_bench.print_table(ab_bench.summarise(runs, [dict(SPEC[0], better=better)]))
+    assert capsys.readouterr().out.rstrip().endswith("unresolved")
+
+
 def test_host_parallelism_times_forked_busy_loops_and_leaves_no_child():
     result = ab_bench.host_parallelism(iterations=20_000, reps=2)
     assert result["loop_iterations"] == 20_000

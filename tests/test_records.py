@@ -155,9 +155,14 @@ def test_gains_that_cannot_be_used_are_refused_as_in_a_file(case):
     assert str(err.value) == str(from_text.value)
 
 
+def _agent0(**changes):
+    return replace(SCENARIO, agents=(replace(SCENARIO.agents[0], **changes), SCENARIO.agents[1]))
+
+
 # Fields of a Scenario built in Python that a relation reads or the run
-# indexes with, each with its message; before check_scenario checked them,
-# each failed or ran as its comment says
+# indexes with, an edge that is not a pair, and an agent's initial values,
+# each with its message; before check_scenario checked them, each failed or
+# ran as its comment says
 BAD_FIELDS = {
     "edge agent 0.5": ("edge[0].a: not an integer: 0.5",  # TypeError
                        replace(SCENARIO, edges=((0.5, 1),))),
@@ -171,6 +176,14 @@ BAD_FIELDS = {
                             replace(SCENARIO, poles=None, explicit_gains=(0.03,) * 5)),
     "no explicit gain": ("gains.kpos: gains.* takes 4 values, got 0",  # IndexError
                          replace(SCENARIO, poles=None, explicit_gains=())),
+    "edge of one agent": ("edge[0].b: an edge joins 2 agents, got 1",  # ValueError: unpack
+                          replace(SCENARIO, edges=((0,),))),
+    "edge of three agents": ("edge[0].b: an edge joins 2 agents, got 3",  # ValueError: unpack
+                             replace(SCENARIO, edges=((0, 1, 1),))),
+    "velocity '1'": ("agent[0].vel: not a number: '1'", _agent0(vel="1")),  # TypeError in a step
+    "position nan": ("agent[0].pos: must be finite, got nan", _agent0(pos=math.nan)),  # aborted
+    "tilt True": ("agent[0].tilt: not a number: True", _agent0(tilt=True)),  # ran as 1.0 rad
+    "rate inf": ("agent[0].rate: must be finite, got inf", _agent0(rate=math.inf)),  # aborted
 }
 
 

@@ -657,26 +657,32 @@ def test_report_bytes_are_pinned(default_run, case):
 
 
 # sha256 of the files the run command writes, for each shipped scenario and
-# for switching_step sampled on every step (the benchmark's dense trace)
+# for switching_step sampled on every step (the benchmark's dense trace) and
+# on every 100th: 401 rows, each in a pixel column of its own, so its plots
+# hold every sample
 ARTIFACT_SHA256 = {
     "repulsion": ("db83eede71663c780325dccb111637571521d3a75484a162969894d18b0e797c",
-                  "d425dd148f359c612c109d88dea74b7e9077d94394302aab747b813ddcbc88c8",
-                  "f096dd5841ec31b95553e415cb1ff2255a1a197f9a934cd56ff3b6ba4b82763e"),
+                  "0a3426c3c9b76d09981b544a79531ac9b4a2e1313b654bfd984fac50005060fb",
+                  "0b55be96b1596d21b7c511f57cc6bf45afac5f7917fe2b054f9ec91a2ba22a56"),
     "attraction": ("0da109bb2216ce546c9c40aafe532c5da1a9bce4f8f217079b18e26ab3870dfe",
-                   "9a4f0618494bfc79d1d3c14443f3bd688c13507d5c5008150be693740883c739",
-                   "b2895ace3ae93bbce7f83ef59b63f39e260d24da9e992e1af9e49612a5921c55"),
+                   "d7a0b2260146e6e7b7a2a7399efa0eab1e41bfc482b7340e5a8ac97ea5c860f3",
+                   "f4f8e2f1ab6324069eb464cc80a375c29b57e098f889d2dd33f03ec75d9f4db2"),
     "switching_step": ("3c9b818253bcca32b4c183f0fcb8086cc7a5ac83f8829349de62a80f4a7b1346",
-                       "fbbaf1eacd1ee736392c2469ed19147a8a471bf193c49e95638663bf0d2ac075",
-                       "4e15c14d365cf67673eec25ed4816998cd1c54b1e4c9d527e47b092de2248b26"),
+                       "9df851717411b0f9aa2eae2de47f3defab63887cbdf051a1cd9688a81d0d4c3e",
+                       "fbed30eaeaad1cf145b1e77861678061bbb8bd9328736e338d68c38bd4329583"),
     "switching_smooth": ("f7c595b103a1e97ac73f4a98836f80d1c1632f1153d531e3f3827e3b72c98420",
-                         "4aa3bffa3807eae64c397a691f2c817c37a71fd7591d259050cbcb8e32c3ebff",
-                         "8b3f6605957501538acc17d5e7ab043a1e7a3b3c503f0cd9be30f0e86ce68642"),
+                         "0907b1a4598d17f0dd2c9155cbf420468359c6ec6538d5c343260e87ccd511f3",
+                         "a7cc021e36766e8d931fbd588c8614072b8297b6533a195a91a1f03431f9a12d"),
     "three_agent_chain": ("09c8b16e96cccd280e7e67e831256b80f275ba74e250f63d2fd74a5422241050",
-                          "ac793af3e52f4d083b82ce122ee67d7f1927b5b6892fefb7d241a84867c0cfa1",
-                          "9f2cce7072e3284ccb00c26f948e44bf3cd6c76ad78f4eabae427dc643e36e1b"),
+                          "2237125bcaab79c413e64a9137c69f819bc54727904b0496fead217bd51928fb",
+                          "baf8d1f8f10ac29353e26d4e188beb71b21794843083a18fb484c8fbc3bf67a8"),
     "switching_step_stride1": ("60b5191b0d01a4fd955b448c3ca18db7b2af8ad1015bc4b230cdf5037ebc5087",
-                               "2744a5a71e3627832a29174ed6655dbe230ed58d913556bda49c15ac18574d3f",
-                               "28580b0890bd03f8f064e58659b51091c8b0d2cb1a09fc49dbd11c51a52ab585"),
+                               "aaf1e9125d737146a4e550aeb4352615d9529712728ec8d40f649a9616975600",
+                               "4d1d9a8749951b61841cec07f3bf38ee440bcc74ad9e39eb66955407ad125b1d"),
+    "switching_step_stride100": (
+        "a6dea73db94a8f676c8540ac80c881bffce2da82b1d9f50eed6386c6097f2131",
+        "5cc46896bb2ee844fbd85bf0cced763d589e57d7444819bc05a760b6bba507d0",
+        "4ee97cbde6bb1314417d369a02b8efab09191acc14f0d12f3e5e864152cc9356"),
 }
 
 
@@ -684,8 +690,9 @@ ARTIFACT_SHA256 = {
 def test_artifact_bytes_are_pinned(default_run, chain_run, tmp_path, case):
     if case == "three_agent_chain":
         sc, trace, metrics = chain_run
-    elif case == "switching_step_stride1":
-        sc = parse_scenario_with(scenario_text("two_agent_switching_step"), {"sim.stride": 1})
+    elif case.startswith("switching_step_stride"):
+        stride = int(case.removeprefix("switching_step_stride"))
+        sc = parse_scenario_with(scenario_text("two_agent_switching_step"), {"sim.stride": stride})
         trace, metrics = run(sc)
     else:
         sc, trace, metrics = default_run(case)
@@ -762,6 +769,72 @@ def test_svg_of_a_one_row_trace():
     lines = list(root.iter("{http://www.w3.org/2000/svg}polyline"))
     # the one point sits at the left edge, mid-height (a constant series)
     assert [el.get("points") for el in lines] == ["66.00,209.00"]
+
+
+def test_svg_of_a_two_row_trace():
+    # t_end = 2 dt at stride 2 samples t = 0 and t_end: the plot's two edges
+    trace, _ = run(parse_scenario(MINIMAL + "sim.t_end = 0.002\nsim.stride = 2\n"))
+    assert trace.n_rows == 2
+    root = ET.fromstring(render_svg(trace, ["agent0_vel", "pair0_d"]))
+    for line in root.iter("{http://www.w3.org/2000/svg}polyline"):
+        xs = [p.split(",")[0] for p in line.get("points").split()]
+        assert xs == ["66.00", f"{output._W - output._MR:.2f}"]
+
+
+def test_svg_of_a_dense_trace_keeps_at_most_four_points_per_pixel_column():
+    # 4001 rows in 634 pixel columns: each polyline keeps the M4 points of
+    # each column, the first at the left edge and the last at the right
+    trace, _ = run(parse_scenario(MINIMAL + "sim.t_end = 4.0\nsim.stride = 1\n"))
+    root = ET.fromstring(render_svg(trace, ["agent0_vel", "agent1_vel", "rms"]))
+    pw = output._W - output._ML - output._MR
+    for line in root.iter("{http://www.w3.org/2000/svg}polyline"):
+        xs = [float(p.split(",")[0]) for p in line.get("points").split()]
+        assert xs[0] == output._ML and xs[-1] == output._ML + pw
+        assert xs == sorted(xs) and pw <= len(xs) <= 4 * pw < trace.n_rows
+
+
+def m4_reference(col, s):
+    """The M4 indices of series s, one run of equal col at a time."""
+    kept, start = set(), 0
+    for stop in [*(i for i in range(1, len(col)) if col[i] != col[i - 1]), len(col)]:
+        run_ = list(s[start:stop])
+        kept |= {start, stop - 1, start + run_.index(min(run_)), start + run_.index(max(run_))}
+        start = stop
+    return sorted(kept)
+
+
+@st.composite
+def columns_and_series(draw):
+    """Nondecreasing pixel columns of 1-5000 samples, with runs of one
+    sample up to all of them, and two series over them: constant,
+    monotone, spiky or tied, with values up to +/-1e300."""
+    n = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    col = np.sort(rng.integers(0, draw(st.integers(1, 2 * n)), n)).astype(float)
+    scale = draw(st.floats(1e-300, 1e300))
+
+    def series(kind):
+        if kind == "constant":
+            return np.full(n, draw(st.floats(-1e300, 1e300)))
+        if kind == "monotone":
+            return np.sort(rng.uniform(-scale, scale, n))[::draw(st.sampled_from([1, -1]))]
+        if kind == "spiky":
+            s = np.zeros(n)
+            s[rng.integers(0, n, 1 + n // 50)] = rng.choice([-scale, scale], 1 + n // 50)
+            return s
+        return rng.integers(-2, 3, n) * (scale / 2)  # tied: five values, each many times
+
+    kinds = st.sampled_from(["constant", "monotone", "spiky", "tied"])
+    return col, [series(draw(kinds)), series(draw(kinds))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(columns_and_series())
+def test_m4_keeps_each_pixel_column_s_first_last_and_first_extremes(case):
+    col, series = case
+    for s, kept in zip(series, output._m4(col, series), strict=True):
+        assert (np.diff(kept) > 0).all()
+        assert kept.tolist() == m4_reference(col, s)
 
 
 def test_svg_escapes_its_title():

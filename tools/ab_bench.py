@@ -20,9 +20,13 @@ at least nine tenths of them, the medians differ, in the better direction,
 by more than the parent's quartile distance, and the change failed no more
 operations on that workload than the parent.  A metric breaks its bound
 when the change's median is worse than the parent's by more than the
-bound.  The exit code is 1 when a bound is broken, a run disagreed with
-its reference, or the change failed more operations than the parent on
-some workload.
+bound.  A metric is unresolved when the parent's quartile distance
+exceeds the bound times the parent's median, so that the parent's own
+runs spread wider than the bound, unless every change run reads better
+than every parent run.  The verdict column and the JSON mark it; the
+exit code does not read it.  The exit code is 1 when a bound is broken,
+a run disagreed with its reference, or the change failed more operations
+than the parent on some workload.
 
 Before the first pair and after the last, it measures the host's
 two-process speedup (host_parallelism): a pure-Python busy loop run alone
@@ -131,6 +135,7 @@ def compare(parent_runs, change_runs, better, bound, fails_more):
     change_wins = sum(g > 0 for g in gains)
     parent_iqr = p[2] - p[0]
     rel = c[1] / p[1] - 1.0 if p[1] else float("nan")
+    beats_every_run = min(sign * b for b in change_runs) > max(sign * a for a in parent_runs)
     return {
         "better": better, "bound": bound,
         "parent": dict(zip(("q1", "median", "q3"), p)),
@@ -142,6 +147,7 @@ def compare(parent_runs, change_runs, better, bound, fails_more):
         "claim_rule_met": (len(gains) >= MIN_PAIRS and change_wins >= 0.9 * len(gains)
                            and sign * (c[1] - p[1]) > parent_iqr and not fails_more),
         "bound_broken": -sign * rel > bound,
+        "unresolved": parent_iqr > bound * abs(p[1]) and not beats_every_run,
         "parent_runs": list(parent_runs),
         "change_runs": list(change_runs),
     }
@@ -243,7 +249,8 @@ def print_table(section):
         for name, st in entry["metrics"].items():
             p, c = st["parent"], st["change"]
             verdict = ("claim rule met" if st["claim_rule_met"] else "") + \
-                      (" BOUND BROKEN" if st["bound_broken"] else "")
+                      (" BOUND BROKEN" if st["bound_broken"] else "") + \
+                      (" unresolved" if st["unresolved"] else "")
             print(f"  {name:26s} {p['q1']:10.4g} {p['median']:10.4g} {p['q3']:10.4g} "
                   f"{c['q1']:10.4g} {c['median']:10.4g} {c['q3']:10.4g} "
                   f"{st['median_change_rel']:+8.2%} {st['change_wins']:4d}/{st['parent_wins']:<4d} "
@@ -308,7 +315,9 @@ def main(argv=None):
         "statistics": "median and quartiles (linear interpolation) over the runs of each side; "
                       "change_wins counts pairs where the change reads better; the claim rule "
                       "needs at least 10 pairs, 9/10 wins, a median difference above parent_iqr "
-                      "and no more failed operations than the parent",
+                      "and no more failed operations than the parent; a metric is unresolved "
+                      "when parent_iqr exceeds its bound times the parent median, unless "
+                      "every change run reads better than every parent run",
         "harness": "tools/ab_bench.py",
         "host_parallelism": f"before the first pair and after the last, {HOST_REPS} times: a "
                             f"{HOST_LOOP}-iteration pure-Python loop alone in a forked process, "
